@@ -272,49 +272,45 @@ def _induced_diameter_sparse(g: Graph, node_set: set[int]) -> int:
     return int(dist.max())
 
 
+# Sources per block in `betweenness`: each block holds two float64 arrays of
+# block x n path counts.
+_BETWEENNESS_BLOCK = 128
+
+
 def betweenness(g: Graph) -> np.ndarray:
     """Shortest-path betweenness of every node, as a fraction in [0, 1].
 
     For node v the value is the number of shortest paths through v (over
     ordered source-target pairs with both endpoints distinct from v, counting
     path multiplicity) divided by the total number of shortest paths over the
-    same pairs. Computed with per-source BFS and reverse accumulation of
-    path counts, not all-pairs enumeration.
+    same pairs.
+
+    Brandes' accumulation runs level by level over blocks of 128 sources,
+    each reading its rows of the cached distance matrix. For source s,
+    sigma[v] counts the shortest s-v paths and psi[v] the shortest paths from
+    v on to nodes farther from s, so sigma[v] * psi[v] counts the shortest
+    paths from s through v. The forward pass gets sigma at level d as the
+    sparse product of the block's level-(d-1) (source, node) pairs with the
+    adjacency matrix, masked to the pairs at level d; the backward pass gets
+    psi at level d the same way from 1 + psi at level d+1.
+
+    Every sigma, psi, product and sum is an integer held in float64. While
+    they stay below 2**53 (all shortest paths together number about 7e10 on
+    gen_rgg(1000, 0.1, 424242)) each is exact, so the result does not
+    depend on the block size or on the order of summation.
     """
-    g.ensure_connected()
+    dist = g.distance_matrix()
     n = g.node_count
-    indptr = g.csr().indptr
-    indices = g.csr().indices.astype(np.int64)
+    adj = g.csr().astype(np.float64)
     through = np.zeros(n, dtype=np.float64)  # sum over sources of sigma[v] * psi[v]
     paths_from = np.zeros(n, dtype=np.float64)  # S_v = total shortest paths with source v
-
-    for s in range(n):
-        dist = np.full(n, -1, dtype=np.int32)
-        dist[s] = 0
-        sigma = np.zeros(n, dtype=np.float64)
-        sigma[s] = 1.0
-        frontier = np.array([s], dtype=np.int64)
-        level_edges: list[tuple[np.ndarray, np.ndarray]] = []
-        level = 0
-        while frontier.size:
-            srcs, nbrs = _frontier_edges(frontier, indptr, indices)
-            fresh = dist[nbrs] == -1
-            dist[nbrs[fresh]] = level + 1
-            down = dist[nbrs] == level + 1  # DAG edges level -> level+1
-            u_e, w_e = srcs[down], nbrs[down]
-            np.add.at(sigma, w_e, sigma[u_e])
-            level_edges.append((u_e, w_e))
-            frontier = np.unique(nbrs[fresh])
-            level += 1
-
-        # psi[v] = number of shortest paths from v to all strict DAG descendants
-        psi = np.zeros(n, dtype=np.float64)
-        for u_e, w_e in reversed(level_edges):
-            np.add.at(psi, u_e, 1.0 + psi[w_e])
-        contrib = sigma * psi
-        paths_from[s] = contrib[s]  # psi at the source counts every shortest path from s
-        contrib[s] = 0.0
-        through += contrib
+    for lo in range(0, n, _BETWEENNESS_BLOCK):
+        sources = np.arange(lo, min(lo + _BETWEENNESS_BLOCK, n))
+        contrib = _block_path_counts(dist[sources], sources, adj)
+        own = (np.arange(len(sources)), sources)
+        paths_from[sources] = contrib[own]  # psi at the source counts every shortest path from s
+        contrib[own] = 0.0
+        through += contrib.sum(axis=0)
 
     total = paths_from.sum()
     denom = total - 2.0 * paths_from  # drop ordered pairs having v as an endpoint
@@ -324,16 +320,42 @@ def betweenness(g: Graph) -> np.ndarray:
     return out
 
 
-def _frontier_edges(frontier: np.ndarray, indptr: np.ndarray, indices: np.ndarray):
-    """All (u, neighbor-of-u) pairs for u in frontier, fully vectorized."""
-    starts = indptr[frontier]
-    counts = indptr[frontier + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    offsets = np.repeat(np.cumsum(counts) - counts, counts)
-    flat = np.arange(total, dtype=np.int64) - offsets + np.repeat(starts, counts)
-    return np.repeat(frontier, counts), indices[flat]
+def _block_path_counts(rows: np.ndarray, sources: np.ndarray, adj: csr_matrix) -> np.ndarray:
+    """sigma * psi for each (source, node) pair of one block, shape (block, n).
+
+    `rows` holds the sources' rows of the distance matrix.
+    """
+    b, n = rows.shape
+    level = rows.ravel()
+    # Flat pair indices grouped by level, ascending (so row-major) within a level.
+    order = np.argsort(level, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(level))))
+    pairs = [order[bounds[d]:bounds[d + 1]] for d in range(len(bounds) - 1)]
+    row_starts = np.arange(b + 1) * n
+
+    def spread(at: np.ndarray, values: np.ndarray, d: int):
+        """Sum `values` over the adjacency of the pairs `at`, kept where the
+        level is d."""
+        frontier = csr_matrix(
+            (values, at % n, np.searchsorted(at, row_starts)), shape=(b, n)
+        )
+        reached = frontier @ adj
+        flat = np.repeat(row_starts[:-1], np.diff(reached.indptr)) + reached.indices
+        keep = level[flat] == d
+        return flat[keep], reached.data[keep]
+
+    sigma = np.zeros(b * n, dtype=np.float64)
+    sigma[np.arange(b) * n + sources] = 1.0
+    for d in range(1, len(pairs)):
+        at = pairs[d - 1]
+        idx, values = spread(at, sigma[at], d)
+        sigma[idx] = values
+    psi = np.zeros(b * n, dtype=np.float64)
+    for d in range(len(pairs) - 2, -1, -1):
+        at = pairs[d + 1]
+        idx, values = spread(at, 1.0 + psi[at], d)
+        psi[idx] = values
+    return (sigma * psi).reshape(b, n)
 
 
 def gen_rgg(n: int, radius: float, seed: int) -> GeoGraph:

@@ -1,7 +1,10 @@
 """Independent reference implementations used only by the tests.
 
-Everything here is deliberately naive (explicit enumeration, dict-based BFS)
-so it shares no code path with the library implementations it checks.
+Most of it is deliberately naive (explicit enumeration, dict-based BFS) so it
+shares no code path with the library implementations it checks. Two are
+slower formulations of library functions, kept as references for the faster
+ones: `brandes_per_source` (one BFS per source) and `sweep_by_analyze` (one
+`analyze` per radius).
 """
 
 from __future__ import annotations
@@ -10,7 +13,9 @@ import random
 from collections import deque
 from functools import lru_cache
 
-from privzone import Graph, build_graph
+import numpy as np
+
+from privzone import Graph, SweepRow, analyze, build_graph, diameter
 
 
 def shortest_path_distances(g: Graph, s: int) -> dict[int, int]:
@@ -60,6 +65,86 @@ def naive_betweenness(g: Graph) -> list[float]:
                 totals[v] += len(paths)
                 through[v] += sum(1 for p in paths if v in p)
     return [through[v] / totals[v] if totals[v] else 0.0 for v in range(n)]
+
+
+def brandes_per_source(g: Graph) -> np.ndarray:
+    """Betweenness as `privzone.betweenness` defines it, by one vectorized BFS
+    per source and reverse accumulation of path counts (Brandes).
+
+    It shares no code with the library's blocked, level-synchronous pass; the
+    sums are exact integers, so both must agree bit for bit.
+    """
+    g.ensure_connected()
+    n = g.node_count
+    indptr = np.concatenate(([0], np.cumsum([len(a) for a in g.adjacency]))).astype(np.int64)
+    indices = np.array([w for a in g.adjacency for w in a], dtype=np.int64)
+    through = np.zeros(n, dtype=np.float64)  # sum over sources of sigma[v] * psi[v]
+    paths_from = np.zeros(n, dtype=np.float64)  # S_v = total shortest paths with source v
+
+    for s in range(n):
+        dist = np.full(n, -1, dtype=np.int32)
+        dist[s] = 0
+        sigma = np.zeros(n, dtype=np.float64)
+        sigma[s] = 1.0
+        frontier = np.array([s], dtype=np.int64)
+        level_edges: list[tuple[np.ndarray, np.ndarray]] = []
+        level = 0
+        while frontier.size:
+            srcs, nbrs = _frontier_edges(frontier, indptr, indices)
+            fresh = dist[nbrs] == -1
+            dist[nbrs[fresh]] = level + 1
+            down = dist[nbrs] == level + 1  # DAG edges level -> level+1
+            u_e, w_e = srcs[down], nbrs[down]
+            np.add.at(sigma, w_e, sigma[u_e])
+            level_edges.append((u_e, w_e))
+            frontier = np.unique(nbrs[fresh])
+            level += 1
+
+        # psi[v] = number of shortest paths from v to all strict DAG descendants
+        psi = np.zeros(n, dtype=np.float64)
+        for u_e, w_e in reversed(level_edges):
+            np.add.at(psi, u_e, 1.0 + psi[w_e])
+        contrib = sigma * psi
+        paths_from[s] = contrib[s]  # psi at the source counts every shortest path from s
+        contrib[s] = 0.0
+        through += contrib
+
+    total = paths_from.sum()
+    denom = total - 2.0 * paths_from  # drop ordered pairs having v as an endpoint
+    out = np.zeros(n, dtype=np.float64)
+    nonzero = denom > 0
+    out[nonzero] = through[nonzero] / denom[nonzero]
+    return out
+
+
+def _frontier_edges(frontier: np.ndarray, indptr: np.ndarray, indices: np.ndarray):
+    """All (u, neighbor-of-u) pairs for u in frontier, fully vectorized."""
+    starts = indptr[frontier]
+    counts = indptr[frontier + 1] - starts
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    offsets = np.repeat(np.cumsum(counts) - counts, counts)
+    flat = np.arange(total, dtype=np.int64) - offsets + np.repeat(starts, counts)
+    return np.repeat(frontier, counts), indices[flat]
+
+
+def sweep_by_analyze(g: Graph, s: int, density=None) -> list[SweepRow]:
+    """`privzone.sweep` as one full `analyze` per radius, 0..diameter."""
+    g.ensure_connected()
+    rows = []
+    for h in range(diameter(g) + 1):
+        a = analyze(g, s, h, density)
+        rows.append(
+            SweepRow(
+                h=h,
+                suppressed_count=len(a.suppressed_nodes),
+                candidate_count=len(a.candidates),
+                privacy=a.privacy,
+                cost=a.cost,
+            )
+        )
+    return rows
 
 
 def random_connected_graph(n: int, extra_prob: float, rng: random.Random) -> Graph:

@@ -15,7 +15,7 @@ from privzone import (
     line_graph,
 )
 
-from oracles import naive_betweenness, random_connected_graph, relabelled
+from oracles import brandes_per_source, naive_betweenness, random_connected_graph, relabelled
 
 
 class TestBuildGraph:
@@ -165,6 +165,29 @@ class TestBetweenness:
         assert int(values.argmin()) == 18
         assert values.min() == 0.0
         assert values.max() == pytest.approx(0.282538233906, abs=1e-12)
+
+
+class TestBetweennessMatchesPerSource:
+    """The blocked, level-synchronous pass against one BFS per source: the
+    path counts are exact integers, so the results must be identical."""
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_criterion_7_desk_graphs(self, seed):
+        g = gen_rgg(300, 0.12, seed).graph
+        assert np.array_equal(betweenness(g), brandes_per_source(g))
+
+    def test_criterion_9_graph(self):
+        g = gen_rgg(1000, 0.1, 424242).graph
+        assert np.array_equal(betweenness(g), brandes_per_source(g))
+
+    def test_block_edges(self):
+        graphs = [Graph(1, ()), build_graph([(0, 1)])]
+        for n in (127, 128, 129):
+            path = [(i, i + 1) for i in range(n - 1)]
+            graphs.append(build_graph(path))
+            graphs.append(build_graph(path + [(n - 1, 0)]))
+        for g in graphs:
+            assert np.array_equal(betweenness(g), brandes_per_source(g)), g
 
 
 class TestGenRgg:

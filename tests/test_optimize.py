@@ -1,20 +1,25 @@
 import random
 
+import numpy as np
 import pytest
 
 from privzone import (
     ASYMMETRIC_NODE_CAP,
+    DensityMap,
+    Graph,
     GraphValidityError,
+    SweepRow,
     bfs_layers,
     build_graph,
     diameter,
+    gen_rgg,
     solve_asymmetric_exhaustive,
     solve_constrained,
     solve_tradeoff,
     sweep,
 )
 
-from oracles import random_connected_graph
+from oracles import connected_atlas_graphs, random_connected_graph, sweep_by_analyze
 
 
 class TestSweep:
@@ -58,6 +63,48 @@ class TestSweep:
             rows = sweep(g, rng.randrange(g.node_count))
             counts = [r.candidate_count for r in rows]
             assert counts == sorted(counts), f"candidate count dipped: {counts}"
+
+
+class TestSweepMatchesAnalyze:
+    """The layer-extrema sweep against one full `analyze` per radius: exact
+    SweepRow equality, with the uniform prior and with a random density."""
+
+    @staticmethod
+    def _check(g, sources, rng):
+        density = DensityMap(rng.uniform(0.01, 1.0, g.node_count))
+        for s in sources:
+            assert sweep(g, s) == sweep_by_analyze(g, s), (g.edges, s)
+            assert sweep(g, s, density) == sweep_by_analyze(g, s, density), (g.edges, s)
+
+    def test_every_atlas_graph_every_source(self):
+        rng = np.random.default_rng(11)
+        for g in connected_atlas_graphs():
+            self._check(g, range(g.node_count), rng)
+
+    def test_random_graphs(self):
+        rng = random.Random(13)
+        nrng = np.random.default_rng(13)
+        for _ in range(100):
+            g = random_connected_graph(rng.randint(2, 40), rng.choice([0.05, 0.15, 0.4]), rng)
+            self._check(g, [rng.randrange(g.node_count)], nrng)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_geometric_graphs(self, seed):
+        g = gen_rgg(300, 0.12, seed).graph
+        rng = random.Random(seed)
+        self._check(g, rng.sample(range(g.node_count), 5), np.random.default_rng(seed))
+
+    def test_single_node(self):
+        g = Graph(1, ())
+        assert sweep(g, 0) == sweep_by_analyze(g, 0) == [SweepRow(0, 1, 1, 1.0, 0)]
+
+    def test_same_errors(self, p4):
+        with pytest.raises(GraphValidityError, match="outside"):
+            sweep(p4, 4)
+        with pytest.raises(ValueError, match="density map size"):
+            sweep(p4, 0, DensityMap(np.ones(3)))
+        with pytest.raises(GraphValidityError, match="disconnected"):
+            sweep(build_graph([(0, 1), (2, 3)]), 0)
 
 
 class TestSolveTradeoff:
