@@ -187,10 +187,17 @@ def format_betweenness_csv(values) -> str:
     return "".join(out)
 
 
+# Steps per joined chunk in `format_trace_csv`: only one chunk's line
+# strings are alive at a time, not one per step of the whole trace.
+_TRACE_CHUNK = 16384
+
+
 def format_trace_csv(trace: WalkTrace) -> str:
+    steps = trace.steps
     out = ["t,node,broadcast\n"]
-    for t, node, broadcast in trace.steps:
-        out.append(f"{t},{node},{int(broadcast)}\n")
+    for lo in range(0, len(steps), _TRACE_CHUNK):
+        out.append("".join([f"{t},{node},{int(broadcast)}\n"
+                            for t, node, broadcast in steps[lo:lo + _TRACE_CHUNK]]))
     return "".join(out)
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 __all__ = [
     "GraphValidityError",
@@ -26,6 +26,11 @@ __all__ = [
 
 class GraphValidityError(ValueError):
     """Raised when a graph (or a node/edge argument) violates a structural requirement."""
+
+
+# Sources per block of distance rows (`Graph.distance_rows`): each block runs
+# one dijkstra call, whose float64 result is block x n.
+_ROW_BLOCK = 128
 
 
 class Graph:
@@ -78,16 +83,14 @@ class Graph:
             raise GraphValidityError(f"node {v} outside 0..{self.node_count - 1}")
 
     def csr(self) -> csr_matrix:
-        """Sparse adjacency matrix (cached)."""
+        """Sparse adjacency matrix (cached), in float64, the dtype scipy's
+        graph routines and `betweenness`'s products work in."""
         if self._csr is None:
-            rows = []
-            cols = []
-            for i, j in self.edges:
-                rows.extend((i, j))
-                cols.extend((j, i))
-            data = np.ones(len(rows), dtype=np.int8)
+            ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+            rows = np.concatenate((ends[:, 0], ends[:, 1]))
+            cols = np.concatenate((ends[:, 1], ends[:, 0]))
             self._csr = csr_matrix(
-                (data, (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
+                (np.ones(len(rows), dtype=np.float64), (rows, cols)),
                 shape=(self.node_count, self.node_count),
             )
         return self._csr
@@ -95,35 +98,42 @@ class Graph:
     def distance_matrix(self) -> np.ndarray:
         """All-pairs shortest-path hop counts, shape (n, n), dtype int32.
 
-        Requires a connected graph.
+        Requires a connected graph. Built once by `distance_rows` and cached.
         """
         if self._dist is None:
-            self.ensure_connected()
-            if self.node_count == 1:
-                self._dist = np.zeros((1, 1), dtype=np.int32)
-            else:
-                dist = dijkstra(self.csr(), directed=False, unweighted=True)
-                self._dist = dist.astype(np.int32)
+            self._dist = self.distance_rows(np.arange(self.node_count))
         return self._dist
+
+    def distance_rows(self, sources) -> np.ndarray:
+        """Hop counts from each of `sources` to every node, shape
+        (len(sources), n), dtype int32.
+
+        Requires a connected graph. Reads the cached distance matrix when it
+        exists and caches nothing otherwise: rows are computed for blocks of
+        128 sources at a time, so the float64 scratch never exceeds 128 x n.
+        """
+        sources = np.asarray(sources, dtype=np.int64)
+        for v in (sources.min(), sources.max()) if sources.size else ():
+            self.check_node(int(v))
+        dist = self._dist
+        if dist is not None:
+            return dist[sources]
+        self.ensure_connected()
+        out = np.empty((len(sources), self.node_count), dtype=np.int32)
+        csr = self.csr()
+        for lo in range(0, len(sources), _ROW_BLOCK):
+            block = sources[lo:lo + _ROW_BLOCK]
+            # The adjacency is symmetric, so directed distances are the
+            # undirected ones, without scipy symmetrizing the matrix first.
+            out[lo:lo + len(block)] = dijkstra(csr, directed=True, unweighted=True, indices=block)
+        return out
 
     def unreachable_from_zero(self) -> int | None:
         """Smallest node unreachable from node 0, or None if connected."""
         if self._unreachable == -1:
-            seen = [False] * self.node_count
-            seen[0] = True
-            queue = deque([0])
-            count = 1
-            while queue:
-                u = queue.popleft()
-                for w in self.adjacency[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        count += 1
-                        queue.append(w)
-            if count == self.node_count:
-                self._unreachable = self.node_count
-            else:
-                self._unreachable = seen.index(False)
+            _, labels = connected_components(self.csr(), directed=False)
+            outside = np.flatnonzero(labels != labels[0])
+            self._unreachable = int(outside[0]) if outside.size else self.node_count
         return None if self._unreachable == self.node_count else self._unreachable
 
     def is_connected(self) -> bool:
@@ -301,7 +311,7 @@ def betweenness(g: Graph) -> np.ndarray:
     """
     dist = g.distance_matrix()
     n = g.node_count
-    adj = g.csr().astype(np.float64)
+    adj = g.csr()
     through = np.zeros(n, dtype=np.float64)  # sum over sources of sigma[v] * psi[v]
     paths_from = np.zeros(n, dtype=np.float64)  # S_v = total shortest paths with source v
     for lo in range(0, n, _BETWEENNESS_BLOCK):
@@ -381,6 +391,7 @@ def gen_rgg(n: int, radius: float, seed: int) -> GeoGraph:
     dist2 = np.einsum("ijk,ijk->ij", diff, diff)
     close = dist2 <= radius * radius
     ii, jj = np.nonzero(np.triu(close, k=1))
+    del diff, dist2, close  # free the n x n temporaries before the graph is built
     edges = tuple((int(a), int(b)) for a, b in zip(ii, jj))
     g = Graph(n, edges)
     if g.is_connected():
@@ -398,24 +409,12 @@ def gen_rgg(n: int, radius: float, seed: int) -> GeoGraph:
 
 
 def _largest_component(g: Graph) -> list[int]:
-    seen = [False] * g.node_count
-    best: list[int] = []
-    for start in range(g.node_count):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in g.adjacency[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        if len(comp) > len(best):
-            best = comp
-    return sorted(best)
+    """Sorted nodes of the largest component; among equal largest
+    components, the one holding the smallest node id."""
+    _, labels = connected_components(g.csr(), directed=False)
+    sizes = np.bincount(labels)
+    first = int(np.flatnonzero(sizes[labels] == sizes.max())[0])
+    return np.flatnonzero(labels == labels[first]).tolist()
 
 
 def line_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:

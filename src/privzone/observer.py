@@ -2,9 +2,14 @@
 
 `posterior_bruteforce` recovers the observer's posterior by direct
 enumeration: a node is a plausible private node exactly when some radius
-around it reproduces the observed broadcast set. This is deliberately
-independent of the layer-matching shortcut in `policy.candidate_set` so the
-two can be checked against each other.
+around it reproduces the observed broadcast set. It tries every radius of
+every node the observer never heard from (a heard node lies inside every
+ball around itself, so it cannot be the private node), reading each node's
+hop counts from `Graph.distance_rows`. It shares nothing with the
+layer-extrema rule of `policy.candidate_set` and `optimize.sweep`, so the
+two can be checked against each other; the tests hold it equal, bit for
+bit, to `posterior_by_bfs` in `tests/oracles.py`, the same enumeration over
+one breadth-first search per node.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, bfs_layers
+from .graph import _ROW_BLOCK, Graph, bfs_layers
 from .policy import DensityMap
 
 __all__ = [
@@ -115,23 +120,30 @@ def posterior_bruteforce(
     if density is not None and len(density) != g.node_count:
         raise ValueError("density map size does not match the node count")
 
+    n = g.node_count
+    heard = np.zeros(n, dtype=bool)
+    heard[list(observed)] = True
     want = len(observed)
-    weights = np.zeros(g.node_count, dtype=np.float64)
+    unheard = np.flatnonzero(~heard)
+    weights = np.zeros(n, dtype=np.float64)
     matched = False
-    for v in range(g.node_count):
-        layers = bfs_layers(g, v)
-        # Broadcast set for radius r is the union of layers beyond r; peel the
-        # ball outward and compare only when the sizes agree.
-        outside = g.node_count
-        remaining = set(range(g.node_count))
-        for r in range(layers.eccentricity + 1):
-            layer = layers.layers[r]
-            outside -= len(layer)
-            remaining -= layer
-            if outside == want and remaining == observed:
+    for lo in range(0, len(unheard), _ROW_BLOCK):
+        block = unheard[lo:lo + _ROW_BLOCK]
+        rows = g.distance_rows(block)
+        # layer[k, d] counts the nodes at distance d from block[k]. The
+        # broadcast set of radius r, {u : row[u] > r}, holds the n nodes
+        # less layers 0..r.
+        radii = int(rows.max()) + 1
+        keys = (np.arange(len(block))[:, None] * radii + rows).ravel()
+        layer = np.bincount(keys, minlength=len(block) * radii).reshape(len(block), radii)
+        hit = n - layer.cumsum(axis=1) == want
+        # The sets shrink as r grows, so radii with equal counts have equal
+        # sets: the first radius with the observed count decides.
+        for k in np.flatnonzero(hit.any(axis=1)).tolist():
+            if np.array_equal(rows[k] > int(hit[k].argmax()), heard):
                 matched = True
+                v = int(block[k])
                 weights[v] = 1.0 if density is None else float(density.rho[v])
-                break
     if not matched:
         raise InfeasibleError(
             "observed broadcast set is inconsistent with every symmetric policy"

@@ -1,10 +1,10 @@
 """Independent reference implementations used only by the tests.
 
 Most of it is deliberately naive (explicit enumeration, dict-based BFS) so it
-shares no code path with the library implementations it checks. Two are
+shares no code path with the library implementations it checks. Three are
 slower formulations of library functions, kept as references for the faster
-ones: `brandes_per_source` (one BFS per source) and `sweep_by_analyze` (one
-`analyze` per radius).
+ones: `brandes_per_source` (one BFS per source), `sweep_by_analyze` (one
+`analyze` per radius) and `posterior_by_bfs` (one `bfs_layers` per node).
 """
 
 from __future__ import annotations
@@ -15,7 +15,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from privzone import Graph, SweepRow, analyze, build_graph, diameter
+from privzone import (
+    Graph,
+    InfeasibleError,
+    Posterior,
+    SweepRow,
+    analyze,
+    bfs_layers,
+    build_graph,
+    diameter,
+)
 
 
 def shortest_path_distances(g: Graph, s: int) -> dict[int, int]:
@@ -145,6 +154,42 @@ def sweep_by_analyze(g: Graph, s: int, density=None) -> list[SweepRow]:
             )
         )
     return rows
+
+
+def posterior_by_bfs(g: Graph, observed: set[int], density=None) -> Posterior:
+    """`privzone.posterior_bruteforce` as one `bfs_layers` per node of the
+    graph, heard or not, peeling each ball outward radius by radius."""
+    g.ensure_connected()
+    for v in observed:
+        g.check_node(v)
+    if density is not None and len(density) != g.node_count:
+        raise ValueError("density map size does not match the node count")
+
+    want = len(observed)
+    weights = np.zeros(g.node_count, dtype=np.float64)
+    matched = False
+    for v in range(g.node_count):
+        layers = bfs_layers(g, v)
+        # Broadcast set for radius r is the union of layers beyond r; peel the
+        # ball outward and compare only when the sizes agree.
+        outside = g.node_count
+        remaining = set(range(g.node_count))
+        for r in range(layers.eccentricity + 1):
+            layer = layers.layers[r]
+            outside -= len(layer)
+            remaining -= layer
+            if outside == want and remaining == observed:
+                matched = True
+                weights[v] = 1.0 if density is None else float(density.rho[v])
+                break
+    if not matched:
+        raise InfeasibleError(
+            "observed broadcast set is inconsistent with every symmetric policy"
+        )
+    total = float(weights.sum())
+    if total <= 0.0:
+        raise ValueError("every plausible private node has zero density; posterior undefined")
+    return Posterior(mass=weights / total)
 
 
 def random_connected_graph(n: int, extra_prob: float, rng: random.Random) -> Graph:

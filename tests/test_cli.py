@@ -188,6 +188,17 @@ class TestSimulateInfeasible:
         )
         assert code == 4
         assert "inconsistent" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_disconnected_graph_exits_3(self, disconnected_file, tmp_path, capsys):
+        code = main(
+            ["simulate", "--graph", disconnected_file, "--source", "0", "--radius", "1",
+             "--steps", "100", "--seed", "1",
+             "--trace", str(tmp_path / "t.csv"), "--posterior", str(tmp_path / "p.csv")]
+        )
+        assert code == 3
+        assert "node 2 is unreachable from node 0" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
 
 
 class TestExperiment:

@@ -15,7 +15,16 @@ from privzone import (
     line_graph,
 )
 
-from oracles import brandes_per_source, naive_betweenness, random_connected_graph, relabelled
+from privzone.graph import _largest_component
+from scipy.sparse.csgraph import dijkstra
+
+from oracles import (
+    brandes_per_source,
+    connected_atlas_graphs,
+    naive_betweenness,
+    random_connected_graph,
+    relabelled,
+)
 
 
 class TestBuildGraph:
@@ -188,6 +197,79 @@ class TestBetweennessMatchesPerSource:
             graphs.append(build_graph(path + [(n - 1, 0)]))
         for g in graphs:
             assert np.array_equal(betweenness(g), brandes_per_source(g)), g
+
+
+def _rows_by_bfs(g: Graph, sources) -> np.ndarray:
+    out = np.empty((len(sources), g.node_count), dtype=np.int32)
+    for k, s in enumerate(sources):
+        for d, layer in enumerate(bfs_layers(g, s).layers):
+            out[k, list(layer)] = d
+    return out
+
+
+class TestDistanceRows:
+    """`Graph.distance_rows` against per-node BFS layers and the undirected
+    scipy matrix it replaced."""
+
+    @staticmethod
+    def check(g: Graph):
+        nodes = np.arange(g.node_count)
+        undirected = dijkstra(g.csr(), directed=False, unweighted=True).astype(np.int32)
+        by_bfs = _rows_by_bfs(g, nodes)
+        assert np.array_equal(by_bfs, undirected)
+        picked = np.concatenate((nodes[::-1], nodes[:3]))
+        fresh = Graph(g.node_count, g.edges)
+        rows = fresh.distance_rows(picked)
+        assert rows.dtype == np.int32
+        assert np.array_equal(rows, by_bfs[picked])
+        assert fresh._dist is None
+        assert np.array_equal(fresh.distance_matrix(), by_bfs)
+        assert np.array_equal(fresh.distance_rows(picked), by_bfs[picked])
+
+    def test_atlas_graphs(self):
+        for g in connected_atlas_graphs():
+            self.check(g)
+
+    def test_block_edges(self):
+        self.check(Graph(1, ()))
+        for n in (127, 128, 129):
+            path = [(i, i + 1) for i in range(n - 1)]
+            self.check(build_graph(path))
+            self.check(build_graph(path + [(n - 1, 0)]))
+
+    def test_criterion_9_graph(self):
+        self.check(gen_rgg(1000, 0.1, 424242).graph)
+
+    def test_empty_sources(self, p4):
+        assert p4.distance_rows([]).shape == (0, 4)
+
+    def test_bad_sources_rejected(self, p4):
+        for bad in ([0, 4], [-1, 2]):
+            with pytest.raises(GraphValidityError, match="outside"):
+                p4.distance_rows(bad)
+
+    def test_disconnected_rejected(self):
+        g = build_graph([(0, 1), (2, 3)])
+        with pytest.raises(GraphValidityError, match="node 2 is unreachable"):
+            g.distance_rows([0])
+
+
+class TestConnectivity:
+    def test_witness_is_smallest_node_outside_zeros_component(self):
+        assert Graph(5, ((0, 1), (3, 4))).unreachable_from_zero() == 2
+        assert Graph(4, ((0, 2), (1, 3))).unreachable_from_zero() == 1
+        assert Graph(3, ((1, 2),)).unreachable_from_zero() == 1
+        assert Graph(1, ()).unreachable_from_zero() is None
+        with pytest.raises(GraphValidityError, match="node 1 is unreachable from node 0"):
+            Graph(4, ((0, 2), (1, 3))).ensure_connected()
+
+    def test_largest_component_ties_go_to_the_smallest_node_id(self):
+        # node 0 alone; {1, 4, 6} and {2, 3, 5} tie at three nodes
+        g = Graph(7, ((1, 4), (4, 6), (2, 3), (3, 5)))
+        assert _largest_component(g) == [1, 4, 6]
+        g = Graph(7, ((2, 3), (3, 5), (1, 4), (4, 6), (0, 2)))
+        assert _largest_component(g) == [0, 2, 3, 5]
+        assert _largest_component(Graph(3, ())) == [0]
 
 
 class TestGenRgg:

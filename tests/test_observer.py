@@ -5,6 +5,7 @@ import pytest
 
 from privzone import (
     DensityMap,
+    Graph,
     InfeasibleError,
     Posterior,
     WalkTrace,
@@ -14,13 +15,14 @@ from privzone import (
     build_graph,
     coverage_step,
     diameter,
+    gen_rgg,
     observed_broadcast_set,
     posterior_bruteforce,
     simulate_walk,
     suppressed_set,
 )
 
-from oracles import random_connected_graph
+from oracles import connected_atlas_graphs, posterior_by_bfs, random_connected_graph
 
 
 class TestSimulateWalk:
@@ -142,3 +144,102 @@ class TestEndToEnd:
             assert observed == broadcast_set(g, s, h)
             posterior = posterior_bruteforce(g, observed)
             assert float(posterior.mass[s]) == analyze(g, s, h).privacy
+
+
+def _outcome(fn, g, observed, density):
+    try:
+        return fn(g, observed, density).mass
+    except (ValueError, InfeasibleError) as exc:
+        return type(exc), str(exc)
+
+
+def _beyond(g, s, h):
+    """Broadcast set of radius h around s, from BFS layers."""
+    return set().union(*bfs_layers(g, s).layers[h + 1:])
+
+
+def assert_matches_bfs(g, observed, density=None):
+    """Same masses, bit for bit, or the same exception type and message."""
+    got = _outcome(posterior_bruteforce, g, observed, density)
+    want = _outcome(posterior_by_bfs, g, observed, density)
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray) and np.array_equal(got, want), (g, observed)
+    else:
+        assert got == want, (g, observed)
+
+
+class TestPosteriorMatchesBfs:
+    """The enumeration over unheard nodes' distance rows against one
+    `bfs_layers` per node (`posterior_by_bfs`)."""
+
+    # Observations are built from BFS layers, not `broadcast_set`, which
+    # would cache the graph's distance matrix: the posteriors must read
+    # their rows from blocked dijkstra calls.
+
+    def test_every_atlas_graph_source_and_radius(self):
+        for atlas_graph in connected_atlas_graphs():
+            # a copy: the shared atlas graphs may hold a cached matrix
+            g = Graph(atlas_graph.node_count, atlas_graph.edges)
+            seen = set()
+            for s in range(g.node_count):
+                layers = bfs_layers(g, s).layers
+                for h in range(len(layers) + 1):  # 0..ecc+1
+                    observed = frozenset().union(*layers[h + 1:])
+                    if observed not in seen:
+                        seen.add(observed)
+                        assert_matches_bfs(g, set(observed))
+            assert g._dist is None
+
+    def test_random_graphs_with_and_without_density(self):
+        rng = random.Random(307)
+        for _ in range(100):
+            g = random_connected_graph(rng.randint(2, 40), rng.uniform(0.02, 0.3), rng)
+            s = rng.randrange(g.node_count)
+            observed = _beyond(g, s, rng.randint(0, g.node_count))
+            rho = np.array([rng.choice((0.0, rng.uniform(0.1, 5.0))) for _ in range(g.node_count)])
+            rho[s] = 1.0
+            assert_matches_bfs(g, observed)
+            assert_matches_bfs(g, observed, DensityMap(rho=rho))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_rggs(self, seed):
+        g = gen_rgg(300, 0.12, seed).graph
+        s = random.Random(seed).randrange(g.node_count)
+        for h in (1, 4, 8):
+            assert_matches_bfs(g, _beyond(g, s, h))
+
+    def test_criterion_9_graph_never_builds_the_matrix(self):
+        g = gen_rgg(1000, 0.1, 424242).graph
+        for h in (1, 2, 3):
+            assert_matches_bfs(g, _beyond(g, 0, h))
+        assert g._dist is None
+
+    def test_nothing_heard_on_a_path_longer_than_two_blocks(self):
+        g = build_graph([(i, i + 1) for i in range(299)])
+        posterior = posterior_bruteforce(g, set())
+        assert posterior.mass.tolist() == [1.0 / 300] * 300
+        assert_matches_bfs(g, set())
+        assert g._dist is None
+
+    def test_single_node(self):
+        assert posterior_bruteforce(Graph(1, ()), set()).mass.tolist() == [1.0]
+        assert_matches_bfs(Graph(1, ()), set())
+
+    @pytest.mark.parametrize(
+        "edges, observed, rho, error, match",
+        [
+            ([(0, 1), (2, 3)], {3}, None, ValueError, "disconnected"),
+            ([(0, 1), (1, 2), (2, 3)], {7}, None, ValueError, "outside"),
+            ([(0, 1), (1, 2), (2, 3)], {-1}, None, ValueError, "outside"),
+            ([(0, 1), (1, 2), (2, 3)], {3}, [1.0, 1.0, 1.0], ValueError, "size"),
+            ([(0, 1), (1, 2), (2, 3)], {0, 1, 2, 3}, None, InfeasibleError, "inconsistent"),
+            ([(0, 1), (1, 2), (2, 3)], {1}, None, InfeasibleError, "inconsistent"),
+            ([(0, 1), (1, 2), (2, 3)], {3}, [0.0, 0.0, 1.0, 1.0], ValueError, "zero density"),
+        ],
+    )
+    def test_error_parity(self, edges, observed, rho, error, match):
+        g = build_graph(edges)
+        density = None if rho is None else DensityMap(rho=np.array(rho))
+        with pytest.raises(error, match=match):
+            posterior_bruteforce(g, observed, density)
+        assert_matches_bfs(g, observed, density)
