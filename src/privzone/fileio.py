@@ -187,17 +187,40 @@ def format_betweenness_csv(values) -> str:
     return "".join(out)
 
 
-# Steps per joined chunk in `format_trace_csv`: only one chunk's line
-# strings are alive at a time, not one per step of the whole trace.
+# Steps per chunk in `format_trace_csv`: only one chunk's byte buffer is
+# alive at a time, not one line string per step of the whole trace.
 _TRACE_CHUNK = 16384
 
 
+def _write_digits(values: np.ndarray, digits: np.ndarray, keep: np.ndarray) -> None:
+    """Write the decimal digits of nonnegative integers, right-aligned, as
+    ASCII codes into the (len, width) view `digits`, wide enough for the
+    largest, and clear `keep` over their leading zeros."""
+    for j in range(digits.shape[1] - 1, 0, -1):
+        rest = values // 10
+        digits[:, j] = values - rest * 10 + ord("0")
+        keep[:, j - 1] = rest > 0
+        values = rest
+    digits[:, 0] = values + ord("0")
+
+
 def format_trace_csv(trace: WalkTrace) -> str:
-    steps = trace.steps
     out = ["t,node,broadcast\n"]
-    for lo in range(0, len(steps), _TRACE_CHUNK):
-        out.append("".join([f"{t},{node},{int(broadcast)}\n"
-                            for t, node, broadcast in steps[lo:lo + _TRACE_CHUNK]]))
+    for lo in range(0, len(trace.nodes), _TRACE_CHUNK):
+        nodes = trace.nodes[lo:lo + _TRACE_CHUNK]
+        rows = len(nodes)
+        # A row is `t,node,flag\n`, its numbers padded to the chunk's widest.
+        t_width = len(str(lo + rows - 1))
+        node_width = len(str(int(nodes.max())))
+        flag = t_width + node_width + 2  # column of the 0/1 flag
+        buf = np.empty((rows, flag + 2), dtype=np.uint8)
+        keep = np.ones(buf.shape, dtype=bool)
+        _write_digits(np.arange(lo, lo + rows), buf[:, :t_width], keep[:, :t_width])
+        _write_digits(nodes, buf[:, t_width + 1:flag - 1], keep[:, t_width + 1:flag - 1])
+        buf[:, [t_width, flag - 1]] = ord(",")
+        buf[:, flag] = trace.broadcast[lo:lo + rows] + ord("0")
+        buf[:, flag + 1] = ord("\n")
+        out.append(buf[keep].tobytes().decode("ascii"))
     return "".join(out)
 
 

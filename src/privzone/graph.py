@@ -160,12 +160,6 @@ class DistanceLayers:
     def eccentricity(self) -> int:
         return len(self.layers) - 1
 
-    def distance(self, v: int) -> int:
-        for d, layer in enumerate(self.layers):
-            if v in layer:
-                return d
-        raise KeyError(v)
-
 
 @dataclass(frozen=True, eq=False)
 class GeoGraph:

@@ -1,5 +1,11 @@
 """Random-walk simulation of a silenced agent and the observer's inference.
 
+`simulate_walk` records the walk as a `WalkTrace` of two arrays, the node
+visited at each time step and whether it broadcast there, about 9 bytes per
+step. The walk itself is one Python loop over the node sequence; the
+broadcast flags, the observed set and the coverage step are array
+operations on that record.
+
 `posterior_bruteforce` recovers the observer's posterior by direct
 enumeration: a node is a plausible private node exactly when some radius
 around it reproduces the observed broadcast set. It tries every radius of
@@ -14,6 +20,7 @@ one breadth-first search per node.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,15 +39,49 @@ __all__ = [
 ]
 
 
+# Steps per chunk of random draws in `simulate_walk`.
+_WALK_CHUNK = 16384
+# A trace holds one int64 node and one bool flag per step.
+_TRACE_BYTES_PER_STEP = 9
+
+
 class InfeasibleError(RuntimeError):
     """Raised when an observation is inconsistent with every symmetric policy."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WalkTrace:
-    """Timestamped node sequence with a per-step broadcast flag."""
+    """A walk as two equal-length arrays indexed by the time step t:
+    `nodes[t]` is the node visited (int64) and `broadcast[t]` whether it
+    broadcast there (bool). Traces compare equal when their contents do."""
 
-    steps: tuple[tuple[int, int, bool], ...]
+    nodes: np.ndarray
+    broadcast: np.ndarray
+
+    def __post_init__(self):
+        nodes = np.asarray(self.nodes, dtype=np.int64)
+        broadcast = np.asarray(self.broadcast, dtype=bool)
+        if nodes.ndim != 1 or nodes.shape != broadcast.shape:
+            raise ValueError("trace nodes and broadcast flags must be 1-D and of equal length")
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "broadcast", broadcast)
+
+    def __eq__(self, other):
+        if not isinstance(other, WalkTrace):
+            return NotImplemented
+        return np.array_equal(self.nodes, other.nodes) and np.array_equal(
+            self.broadcast, other.broadcast
+        )
+
+    @property
+    def steps(self) -> tuple[tuple[int, int, bool], ...]:
+        """The walk as `(t, node, broadcast)` tuples, built on each access.
+
+        The library reads the arrays; this view remains only because the
+        benchmark's tracer (`perfbench/tracing.py`, `on_walk`) counts
+        `len(trace.steps)`, and it can go once that tracer reads the arrays.
+        """
+        return tuple(zip(range(len(self.nodes)), self.nodes.tolist(), self.broadcast.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,10 +107,18 @@ def simulate_walk(g: Graph, s: int, h: int, steps: int, seed: int) -> WalkTrace:
     """Uniform random walk with broadcasts silenced within h hops of s.
 
     The start node is drawn uniformly; each move picks a uniform neighbor.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed. Raises ValueError, before allocating
+    anything, when the trace would not fit in physical memory.
     """
     if steps < 1:
         raise ValueError("walk needs at least one step")
+    need = steps * _TRACE_BYTES_PER_STEP
+    memory = _physical_memory()
+    if memory is not None and need > memory:
+        raise ValueError(
+            f"a walk of {steps} steps needs {need} bytes for its trace, "
+            f"more than the {memory} bytes of physical memory"
+        )
     g.ensure_connected()
     layers = bfs_layers(g, s)
     silenced = np.zeros(g.node_count, dtype=bool)
@@ -77,30 +126,45 @@ def simulate_walk(g: Graph, s: int, h: int, steps: int, seed: int) -> WalkTrace:
         for v in layers.layers[d]:
             silenced[v] = True
 
+    adj = g.adjacency
+    deg = [len(a) for a in adj]
+    nodes = np.empty(steps, dtype=np.int64)
     rng = np.random.default_rng(seed)
-    draws = rng.random(steps)  # draw 0 picks the start, the rest pick neighbors
-    node = int(draws[0] * g.node_count)
-    trace = [(0, node, not silenced[node])]
-    for t in range(1, steps):
-        nbrs = g.adjacency[node]
-        node = nbrs[int(draws[t] * len(nbrs))]
-        trace.append((t, node, not silenced[node]))
-    return WalkTrace(steps=tuple(trace))
+    # Chunked draws give the same stream as one rng.random(steps) call.
+    for lo in range(0, steps, _WALK_CHUNK):
+        draws = rng.random(min(_WALK_CHUNK, steps - lo)).tolist()
+        walk = []
+        if lo == 0:  # draw 0 picks the start, the rest pick neighbors
+            node = int(draws[0] * g.node_count)
+            walk.append(node)
+            draws = draws[1:]
+        append = walk.append
+        for x in draws:
+            node = adj[node][int(x * deg[node])]
+            append(node)
+        nodes[lo:lo + len(walk)] = walk
+    return WalkTrace(nodes=nodes, broadcast=~silenced[nodes])
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform cannot say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
 
 
 def observed_broadcast_set(trace: WalkTrace) -> set[int]:
     """Nodes the observer has seen a broadcast from."""
-    return {node for _, node, broadcast in trace.steps if broadcast}
+    return set(np.unique(trace.nodes[trace.broadcast]).tolist())
 
 
 def coverage_step(trace: WalkTrace, node_count: int) -> int | None:
     """First time index at which the walk has visited every node, or None."""
-    visited: set[int] = set()
-    for t, node, _ in trace.steps:
-        visited.add(node)
-        if len(visited) == node_count:
-            return t
-    return None
+    first = np.unique(trace.nodes, return_index=True)[1]
+    if len(first) < node_count:
+        return None
+    return int(first.max())
 
 
 def posterior_bruteforce(

@@ -1,10 +1,13 @@
 """Independent reference implementations used only by the tests.
 
 Most of it is deliberately naive (explicit enumeration, dict-based BFS) so it
-shares no code path with the library implementations it checks. Three are
+shares no code path with the library implementations it checks. The rest are
 slower formulations of library functions, kept as references for the faster
 ones: `brandes_per_source` (one BFS per source), `sweep_by_analyze` (one
-`analyze` per radius) and `posterior_by_bfs` (one `bfs_layers` per node).
+`analyze` per radius), `posterior_by_bfs` (one `bfs_layers` per node) and
+the walk-trace loops (`walk_steps_by_loop`, `trace_csv_by_loop`,
+`observed_by_loop`, `coverage_by_loop`), which hold a walk as a tuple of
+`(t, node, broadcast)` tuples.
 """
 
 from __future__ import annotations
@@ -190,6 +193,55 @@ def posterior_by_bfs(g: Graph, observed: set[int], density=None) -> Posterior:
     if total <= 0.0:
         raise ValueError("every plausible private node has zero density; posterior undefined")
     return Posterior(mass=weights / total)
+
+
+def walk_steps_by_loop(
+    g: Graph, s: int, h: int, steps: int, seed: int
+) -> tuple[tuple[int, int, bool], ...]:
+    """`privzone.simulate_walk` as one loop that appends a `(t, node,
+    broadcast)` tuple per step, over a single `rng.random(steps)` draw."""
+    if steps < 1:
+        raise ValueError("walk needs at least one step")
+    g.ensure_connected()
+    layers = bfs_layers(g, s)
+    silenced = np.zeros(g.node_count, dtype=bool)
+    for d in range(min(h, layers.eccentricity) + 1):
+        for v in layers.layers[d]:
+            silenced[v] = True
+
+    rng = np.random.default_rng(seed)
+    draws = rng.random(steps)  # draw 0 picks the start, the rest pick neighbors
+    node = int(draws[0] * g.node_count)
+    trace = [(0, node, not silenced[node])]
+    for t in range(1, steps):
+        nbrs = g.adjacency[node]
+        node = nbrs[int(draws[t] * len(nbrs))]
+        trace.append((t, node, not silenced[node]))
+    return tuple(trace)
+
+
+def trace_csv_by_loop(steps) -> str:
+    """`privzone.fileio.format_trace_csv` as one f-string per step."""
+    out = ["t,node,broadcast\n"]
+    for lo in range(0, len(steps), 16384):
+        out.append("".join([f"{t},{node},{int(broadcast)}\n"
+                            for t, node, broadcast in steps[lo:lo + 16384]]))
+    return "".join(out)
+
+
+def observed_by_loop(steps) -> set[int]:
+    """`privzone.observed_broadcast_set` over step tuples."""
+    return {node for _, node, broadcast in steps if broadcast}
+
+
+def coverage_by_loop(steps, node_count: int) -> int | None:
+    """`privzone.coverage_step` over step tuples, growing a visited set."""
+    visited: set[int] = set()
+    for t, node, _ in steps:
+        visited.add(node)
+        if len(visited) == node_count:
+            return t
+    return None
 
 
 def random_connected_graph(n: int, extra_prob: float, rng: random.Random) -> Graph:

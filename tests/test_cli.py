@@ -174,6 +174,19 @@ class TestSimulate:
         masses = [float(l.split(",")[1]) for l in lines[1:]]
         assert masses == [0.5, 0.5, 0.0, 0.0]
 
+    def test_trace_too_large_for_memory_exits_2(self, p4_file, tmp_path, capsys):
+        # refused before any allocation: 10**12 steps need 9 TB of trace
+        trace = tmp_path / "trace.csv"
+        code = main(
+            ["simulate", "--graph", p4_file, "--source", "1", "--radius", "1",
+             "--steps", str(10**12), "--seed", "3", "--trace", str(trace)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "1000000000000 steps needs 9000000000000 bytes" in err
+        assert not trace.exists()
+
 
 class TestSimulateInfeasible:
     def test_partial_observation_with_no_matching_policy_exits_4(self, tmp_path, capsys):

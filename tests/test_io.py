@@ -151,11 +151,12 @@ class TestOtherFormats:
             assert fields[2] in ("0", "1")
 
     def test_trace_csv_across_chunks(self):
-        # the formatter joins 16384 steps at a time; cross two boundaries
+        # the formatter writes 16384 steps at a time; cross two boundaries
         steps = tuple((t, t % 7, t % 3 == 0) for t in range(2 * 16384 + 5))
         want = "t,node,broadcast\n" + "".join(f"{t},{v},{int(b)}\n" for t, v, b in steps)
-        assert format_trace_csv(WalkTrace(steps=steps)) == want
-        assert format_trace_csv(WalkTrace(steps=())) == "t,node,broadcast\n"
+        trace = WalkTrace(nodes=[v for _, v, _ in steps], broadcast=[b for _, _, b in steps])
+        assert format_trace_csv(trace) == want
+        assert format_trace_csv(WalkTrace(nodes=[], broadcast=[])) == "t,node,broadcast\n"
 
     def test_posterior_csv_round_trips_mass(self, p4):
         posterior = posterior_bruteforce(p4, {3})

@@ -22,7 +22,17 @@ from privzone import (
     suppressed_set,
 )
 
-from oracles import connected_atlas_graphs, posterior_by_bfs, random_connected_graph
+from privzone.fileio import format_trace_csv
+
+from oracles import (
+    connected_atlas_graphs,
+    coverage_by_loop,
+    observed_by_loop,
+    posterior_by_bfs,
+    random_connected_graph,
+    trace_csv_by_loop,
+    walk_steps_by_loop,
+)
 
 
 class TestSimulateWalk:
@@ -64,7 +74,7 @@ class TestSimulateWalk:
 
 class TestObservedBroadcastSet:
     def test_empty_when_nothing_broadcast(self):
-        trace = WalkTrace(steps=((0, 2, False), (1, 3, False)))
+        trace = WalkTrace(nodes=[2, 3], broadcast=[False, False])
         assert observed_broadcast_set(trace) == set()
 
     def test_partial_trace_is_a_subset(self, c6):
@@ -81,12 +91,69 @@ class TestObservedBroadcastSet:
 
 class TestCoverageStep:
     def test_reports_first_full_visit(self):
-        trace = WalkTrace(steps=((0, 0, True), (1, 1, True), (2, 0, True), (3, 2, True)))
+        trace = WalkTrace(nodes=[0, 1, 0, 2], broadcast=[True] * 4)
         assert coverage_step(trace, 3) == 3
 
     def test_none_when_never_covered(self):
-        trace = WalkTrace(steps=((0, 0, True), (1, 1, True)))
+        trace = WalkTrace(nodes=[0, 1], broadcast=[True, True])
         assert coverage_step(trace, 3) is None
+
+
+def assert_trace_matches_loops(g, s, h, steps, seed):
+    """The array-backed walk and its readers against the tuple loops."""
+    trace = simulate_walk(g, s, h, steps, seed)
+    want = walk_steps_by_loop(g, s, h, steps, seed)
+    case = (g.node_count, s, h, steps, seed)
+    assert trace.nodes.tolist() == [v for _, v, _ in want], case
+    assert trace.broadcast.tolist() == [b for _, _, b in want], case
+    assert format_trace_csv(trace) == trace_csv_by_loop(want), case
+    assert observed_broadcast_set(trace) == observed_by_loop(want), case
+    assert coverage_step(trace, g.node_count) == coverage_by_loop(want, g.node_count), case
+    return trace, want
+
+
+@pytest.fixture(scope="module")
+def criterion_9_graph():
+    return gen_rgg(1000, 0.1, 424242).graph
+
+
+class TestTraceMatchesLoops:
+    """`simulate_walk`, `format_trace_csv`, `observed_broadcast_set` and
+    `coverage_step` against the tuple-per-step loops in `tests/oracles.py`."""
+
+    def test_every_atlas_graph_source_and_radius(self):
+        # 12 steps: t crosses 9 -> 10
+        for g in connected_atlas_graphs():
+            for s in range(g.node_count):
+                for h in range(bfs_layers(g, s).eccentricity + 2):  # 0..ecc+1
+                    assert_trace_matches_loops(g, s, h, 12, 7 * s + h)
+
+    def test_walk_inference_problems(self, criterion_9_graph):
+        # the sources, radii and walk seeds perfbench's walk-inference
+        # workload draws for its default seed 424242; t crosses 99999 ->
+        # 100000 and node ids have 1 to 3 digits
+        draw = random.Random("walk-inference:nodes")
+        walk_seeds = random.Random("walk-inference:424242")
+        for h in (1, 2, 3):
+            s = draw.randrange(criterion_9_graph.node_count)
+            trace, _ = assert_trace_matches_loops(
+                criterion_9_graph, s, h, 250_000, walk_seeds.randrange(2**31)
+            )
+            assert trace.nodes.min() < 10 and trace.nodes.max() >= 100
+
+    # chunk boundaries, and walks whose last t is 10 or 100000
+    @pytest.mark.parametrize("steps", [1, 11, 16384, 16385, 2 * 16384 + 5, 100_001])
+    def test_chunk_and_digit_boundaries(self, criterion_9_graph, steps):
+        trace, want = assert_trace_matches_loops(criterion_9_graph, 0, 2, steps, steps)
+        assert trace.steps == want
+
+    def test_equality_compares_contents(self):
+        a = WalkTrace(nodes=[0, 1, 0], broadcast=[True, False, True])
+        assert a == WalkTrace(nodes=np.array([0, 1, 0]), broadcast=np.array([1, 0, 1]))
+        assert a != WalkTrace(nodes=[0, 1], broadcast=[True, False])
+        assert a != WalkTrace(nodes=[0, 1, 0], broadcast=[True, False, False])
+        with pytest.raises(ValueError, match="equal length"):
+            WalkTrace(nodes=[0, 1], broadcast=[True])
 
 
 class TestPosteriorBruteforce:
