@@ -9,6 +9,7 @@ does not mention.
 from __future__ import annotations
 
 import json
+from itertools import compress
 
 import numpy as np
 
@@ -56,8 +57,71 @@ def read_text(path) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
+# The bytes `str.split` splits on in the text `_edge_tokens` reads. It
+# refuses text holding the other ASCII whitespace, \v, \f and \x1c-\x1e, or
+# a \r not followed by \n: `str.splitlines` would end a line there.
+_SPACE = np.zeros(256, dtype=bool)
+_SPACE[[9, 10, 13, 31, 32]] = True
+_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e"
+_INT64_MAX = 2**63 - 1
+
+
 def parse_edge_list(text: str) -> Graph:
-    """Parse `i j` lines into a graph."""
+    """Parse `i j` lines into a graph.
+
+    Valid text is read as one int64 array; the line-by-line scan runs only
+    for text that array path cannot vouch for, and words the error of a
+    bad line with its number.
+    """
+    ends = _edge_tokens(text)
+    if ends is None:
+        ends = _edge_lines(text)
+    if not len(ends):
+        raise ParseError("edge list contains no edges")
+    return build_graph(ends)
+
+
+def _edge_tokens(text: str) -> np.ndarray | None:
+    """The (m, 2) node ids of an edge list, read in one pass, or None when
+    the text is not plainly valid and `_edge_lines` must judge it.
+
+    Vouches only for ASCII text whose lines end in "\n" or "\r\n", in which
+    every line is blank, a comment, or two nonnegative integers that fit in
+    int64. `np.array(tokens, int64)` parses each token as `int` does.
+    """
+    if not text.isascii() or text.count("\r") != text.count("\r\n"):
+        return None
+    if any(c in text for c in _LINE_BREAKS):
+        return None
+    tokens = text.split()
+    chars = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    space = _SPACE[chars]
+    starts = ~space  # first character of each token
+    starts[1:] &= space[:-1]
+    started = np.cumsum(starts)
+    # per_line[k]: tokens on line k + 1; bounds[k]: tokens before it.
+    bounds = np.concatenate(([0], started[chars == 10], started[-1:]))
+    per_line = np.diff(bounds)
+    if "#" in text:
+        first = np.flatnonzero(starts)[bounds[:-1][per_line > 0]]
+        comment = np.zeros(len(per_line), dtype=bool)
+        comment[per_line > 0] = chars[first] == ord("#")
+        tokens = list(compress(tokens, np.repeat(~comment, per_line).tolist()))
+        per_line = per_line[~comment]
+    if not ((per_line == 0) | (per_line == 2)).all():
+        return None
+    try:
+        ends = np.array(tokens, dtype=np.int64).reshape(-1, 2)
+    except (ValueError, OverflowError):
+        return None
+    if ends.size and ends.min() < 0:
+        return None
+    return ends
+
+
+def _edge_lines(text: str) -> np.ndarray:
+    """The (m, 2) node ids of an edge list, read line by line; raises
+    ParseError naming the first bad line."""
     edges = []
     for lineno, line in _data_lines(text):
         parts = line.split()
@@ -69,14 +133,18 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(f"line {lineno}: node ids must be integers, got {line!r}") from exc
         if i < 0 or j < 0:
             raise ParseError(f"line {lineno}: node ids must be nonnegative, got {line!r}")
+        if i > _INT64_MAX or j > _INT64_MAX:
+            raise ParseError(f"line {lineno}: node ids must fit in int64, got {line!r}")
         edges.append((i, j))
-    if not edges:
-        raise ParseError("edge list contains no edges")
-    return build_graph(edges)
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)
 
 
 def format_edge_list(g: Graph) -> str:
-    return "".join(f"{i} {j}\n" for i, j in g.edges)
+    ends = g.edge_array
+    return "".join(
+        _format_rows((ends[lo:lo + _ROW_CHUNK, 0], ends[lo:lo + _ROW_CHUNK, 1]), " ")
+        for lo in range(0, len(ends), _ROW_CHUNK)
+    )
 
 
 def parse_positions(text: str, node_count: int) -> np.ndarray:
@@ -187,9 +255,9 @@ def format_betweenness_csv(values) -> str:
     return "".join(out)
 
 
-# Steps per chunk in `format_trace_csv`: only one chunk's byte buffer is
-# alive at a time, not one line string per step of the whole trace.
-_TRACE_CHUNK = 16384
+# Rows per chunk in `format_trace_csv` and `format_edge_list`: only one
+# chunk's byte buffer is alive at a time, not one line string per row.
+_ROW_CHUNK = 16384
 
 
 def _write_digits(values: np.ndarray, digits: np.ndarray, keep: np.ndarray) -> None:
@@ -204,23 +272,31 @@ def _write_digits(values: np.ndarray, digits: np.ndarray, keep: np.ndarray) -> N
     digits[:, 0] = values + ord("0")
 
 
+def _format_rows(columns, sep: str) -> str:
+    """Equal-length columns of nonnegative integers as text, one line per
+    row: the row's values in decimal, separated by `sep`.
+
+    The values go as ASCII digits into one uint8 buffer, each column padded
+    to its widest value; a mask drops the leading zeros.
+    """
+    widths = [len(str(int(c.max()))) for c in columns]
+    buf = np.empty((len(columns[0]), sum(widths) + len(widths)), dtype=np.uint8)
+    keep = np.ones(buf.shape, dtype=bool)
+    at = 0
+    for values, width in zip(columns, widths):
+        _write_digits(values, buf[:, at:at + width], keep[:, at:at + width])
+        buf[:, at + width] = ord(sep)
+        at += width + 1
+    buf[:, -1] = ord("\n")
+    return buf[keep].tobytes().decode("ascii")
+
+
 def format_trace_csv(trace: WalkTrace) -> str:
     out = ["t,node,broadcast\n"]
-    for lo in range(0, len(trace.nodes), _TRACE_CHUNK):
-        nodes = trace.nodes[lo:lo + _TRACE_CHUNK]
-        rows = len(nodes)
-        # A row is `t,node,flag\n`, its numbers padded to the chunk's widest.
-        t_width = len(str(lo + rows - 1))
-        node_width = len(str(int(nodes.max())))
-        flag = t_width + node_width + 2  # column of the 0/1 flag
-        buf = np.empty((rows, flag + 2), dtype=np.uint8)
-        keep = np.ones(buf.shape, dtype=bool)
-        _write_digits(np.arange(lo, lo + rows), buf[:, :t_width], keep[:, :t_width])
-        _write_digits(nodes, buf[:, t_width + 1:flag - 1], keep[:, t_width + 1:flag - 1])
-        buf[:, [t_width, flag - 1]] = ord(",")
-        buf[:, flag] = trace.broadcast[lo:lo + rows] + ord("0")
-        buf[:, flag + 1] = ord("\n")
-        out.append(buf[keep].tobytes().decode("ascii"))
+    for lo in range(0, len(trace.nodes), _ROW_CHUNK):
+        nodes = trace.nodes[lo:lo + _ROW_CHUNK]
+        steps = np.arange(lo, lo + len(nodes))
+        out.append(_format_rows((steps, nodes, trace.broadcast[lo:lo + _ROW_CHUNK]), ","))
     return "".join(out)
 
 

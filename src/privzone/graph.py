@@ -36,44 +36,71 @@ _ROW_BLOCK = 128
 class Graph:
     """Immutable undirected graph with contiguous node ids 0..node_count-1.
 
-    Adjacency lists are sorted, edges are deduplicated and stored as (i, j)
-    with i < j. Distance data is computed lazily and cached; all public
-    operations treat the graph as read-only, so instances are safe to share
-    across threads.
+    The graph is one canonical int64 (m, 2) edge array, `edge_array`: each
+    row (i, j) has i < j, and the rows are sorted and distinct. `edges`
+    (tuples), `adjacency` (sorted neighbour tuples), `csr()` and the distance
+    data are derived from it on first use and cached. Connectivity reads only
+    the ids that occur in edges, so a huge node count costs nothing until an
+    n-sized structure is asked for. All public operations treat the graph as
+    read-only, so instances are safe to share across threads.
     """
 
-    __slots__ = ("node_count", "edges", "adjacency", "_csr", "_dist", "_unreachable")
+    __slots__ = ("node_count", "_ends", "_edges", "_adjacency", "_csr", "_dist", "_unreachable")
 
-    def __init__(self, node_count: int, edges: tuple[tuple[int, int], ...]):
+    def __init__(self, node_count: int, edges):
+        """`edges` is a sequence of (i, j) pairs or an integer (m, 2) array;
+        duplicates and both orientations of a pair collapse to one edge."""
         if node_count < 1:
             raise GraphValidityError("graph needs at least one node")
-        for i, j in edges:
-            if i == j:
+        ends = _edge_array(edges)
+        bad = _first_bad_edge(ends, node_count)
+        if bad is not None:
+            row, self_loop, _ = bad
+            i, j = ends[row].tolist()
+            if self_loop:
                 raise GraphValidityError(f"self-loop at node {i} is not allowed")
-            if not (0 <= i < node_count and 0 <= j < node_count):
-                raise GraphValidityError(f"edge ({i}, {j}) references a node outside 0..{node_count - 1}")
-        canonical = sorted({(min(i, j), max(i, j)) for i, j in edges})
-        adj: list[list[int]] = [[] for _ in range(node_count)]
-        for i, j in canonical:
-            adj[i].append(j)
-            adj[j].append(i)
+            raise GraphValidityError(f"edge ({i}, {j}) references a node outside 0..{node_count - 1}")
         self.node_count: int = node_count
-        self.edges: tuple[tuple[int, int], ...] = tuple(canonical)
-        self.adjacency: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
+        self._ends = _canonical(ends, node_count)
+        self._ends.flags.writeable = False
+        self._edges = None
+        self._adjacency = None
         self._csr = None
         self._dist = None
         self._unreachable = -1  # lazily computed witness; -1 unknown, node_count means none
 
     def __repr__(self) -> str:
-        return f"Graph(node_count={self.node_count}, edge_count={len(self.edges)})"
+        return f"Graph(node_count={self.node_count}, edge_count={len(self._ends)})"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.node_count == other.node_count and self.edges == other.edges
+        return self.node_count == other.node_count and np.array_equal(self._ends, other._ends)
 
     def __hash__(self) -> int:
-        return hash((self.node_count, self.edges))
+        return hash((self.node_count, self._ends.tobytes()))
+
+    @property
+    def edge_array(self) -> np.ndarray:
+        """The canonical edges as a read-only int64 (m, 2) array."""
+        return self._ends
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The canonical edges as (i, j) tuples, i < j, sorted (built once)."""
+        if self._edges is None:
+            self._edges = tuple(map(tuple, self._ends.tolist()))
+        return self._edges
+
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbours of every node (built once, from the CSR)."""
+        if self._adjacency is None:
+            csr = self.csr()
+            nbrs = csr.indices.tolist()
+            bounds = csr.indptr.tolist()
+            self._adjacency = tuple(tuple(nbrs[a:b]) for a, b in zip(bounds, bounds[1:]))
+        return self._adjacency
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -86,13 +113,7 @@ class Graph:
         """Sparse adjacency matrix (cached), in float64, the dtype scipy's
         graph routines and `betweenness`'s products work in."""
         if self._csr is None:
-            ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
-            rows = np.concatenate((ends[:, 0], ends[:, 1]))
-            cols = np.concatenate((ends[:, 1], ends[:, 0]))
-            self._csr = csr_matrix(
-                (np.ones(len(rows), dtype=np.float64), (rows, cols)),
-                shape=(self.node_count, self.node_count),
-            )
+            self._csr = _symmetric_csr(self._ends, self.node_count)
         return self._csr
 
     def distance_matrix(self) -> np.ndarray:
@@ -101,6 +122,7 @@ class Graph:
         Requires a connected graph. Built once by `distance_rows` and cached.
         """
         if self._dist is None:
+            self.ensure_connected()  # before anything n-sized is allocated
             self._dist = self.distance_rows(np.arange(self.node_count))
         return self._dist
 
@@ -131,10 +153,31 @@ class Graph:
     def unreachable_from_zero(self) -> int | None:
         """Smallest node unreachable from node 0, or None if connected."""
         if self._unreachable == -1:
-            _, labels = connected_components(self.csr(), directed=False)
-            outside = np.flatnonzero(labels != labels[0])
-            self._unreachable = int(outside[0]) if outside.size else self.node_count
+            self._unreachable = self._first_unreachable()
         return None if self._unreachable == self.node_count else self._unreachable
+
+    def _first_unreachable(self) -> int:
+        """Smallest node outside node 0's component, or node_count if none.
+
+        Works on the ids that occur in edges, O(m log m) whatever the node
+        count: a node with no edge is isolated, and the components of the
+        others come from the graph relabelled to those ids.
+        """
+        n = self.node_count
+        if n == 1:
+            return n
+        ids = _distinct(np.sort(self._ends, axis=None))
+        if ids.size == n:  # every node has an edge: the relabelling is the identity
+            adj = self.csr()
+        elif ids.size == 0 or ids[0] != 0:  # node 0 is isolated
+            return 1
+        else:
+            adj = _symmetric_csr(np.searchsorted(ids, self._ends), ids.size)
+        _, labels = connected_components(adj, directed=False)
+        apart = ids[labels != labels[0]]
+        gaps = np.flatnonzero(ids != np.arange(ids.size))
+        isolated = int(gaps[0]) if gaps.size else ids.size  # n when no node is isolated
+        return min(isolated, int(apart[0])) if apart.size else isolated
 
     def is_connected(self) -> bool:
         return self.unreachable_from_zero() is None
@@ -180,22 +223,93 @@ class GeoGraph:
             raise GraphValidityError("positions must have one (x, y) row per node")
 
 
+# Largest node count whose pair keys lo * n + hi fit in int64.
+_KEY_LIMIT = 3_037_000_499
+
+
+def _edge_array(edges) -> np.ndarray:
+    """`edges` as an int64 (m, 2) array."""
+    try:
+        ends = np.asarray(edges, dtype=np.int64)
+    except OverflowError:
+        raise GraphValidityError("node ids must fit in int64") from None
+    if ends.size == 0:
+        ends = ends.reshape(0, 2)
+    if ends.ndim != 2 or ends.shape[1] != 2:
+        raise GraphValidityError("edges must be (i, j) pairs")
+    return ends
+
+
+def _first_bad_edge(ends: np.ndarray, node_count: int | None = None):
+    """The first row of `ends`, in input order, that is a self-loop or names
+    a node outside 0..node_count-1 (a negative node when node_count is None).
+
+    Returns (row, self_loop, outside) for that row, or None when every row
+    is valid. Each caller words its own error, and picks which of the two
+    reasons it reports when a row has both.
+    """
+    lo = np.minimum(ends[:, 0], ends[:, 1])
+    hi = np.maximum(ends[:, 0], ends[:, 1])
+    self_loop = lo == hi
+    outside = lo < 0
+    if node_count is not None:
+        outside |= hi >= node_count
+    bad = np.flatnonzero(self_loop | outside)
+    if not bad.size:
+        return None
+    row = int(bad[0])
+    return row, bool(self_loop[row]), bool(outside[row])
+
+
+def _distinct(ascending: np.ndarray) -> np.ndarray:
+    """The distinct values of a sorted 1-D array.
+
+    A sort and a mask: on NumPy 2.4, `np.unique` takes about 20 times as
+    long on an edge list's 14k keys.
+    """
+    first = np.ones(ascending.size, dtype=bool)
+    first[1:] = ascending[1:] != ascending[:-1]
+    return ascending[first]
+
+
+def _canonical(ends: np.ndarray, node_count: int) -> np.ndarray:
+    """Distinct (min, max) rows of a valid edge array, sorted."""
+    lo = np.minimum(ends[:, 0], ends[:, 1])
+    hi = np.maximum(ends[:, 0], ends[:, 1])
+    if node_count > _KEY_LIMIT:
+        return np.unique(np.stack((lo, hi), axis=1), axis=0)
+    key = _distinct(np.sort(lo * node_count + hi))
+    return np.stack((key // node_count, key % node_count), axis=1)
+
+
+def _symmetric_csr(ends: np.ndarray, node_count: int) -> csr_matrix:
+    """float64 adjacency matrix of the canonical edge array `ends`."""
+    rows = np.concatenate((ends[:, 0], ends[:, 1]))
+    cols = np.concatenate((ends[:, 1], ends[:, 0]))
+    return csr_matrix(
+        (np.ones(len(rows), dtype=np.float64), (rows, cols)), shape=(node_count, node_count)
+    )
+
+
 def build_graph(edge_list) -> Graph:
-    """Build an undirected graph from (i, j) pairs.
+    """Build an undirected graph from (i, j) pairs or an integer (m, 2) array.
 
     Duplicate edges (in either orientation) collapse to one. Node count is
     max id + 1. Self-loops and an empty edge list are rejected.
     """
-    edges = [(int(i), int(j)) for i, j in edge_list]
-    if not edges:
+    if not isinstance(edge_list, np.ndarray):
+        edge_list = [(int(i), int(j)) for i, j in edge_list]
+    ends = _edge_array(edge_list)
+    if not len(ends):
         raise GraphValidityError("edge list is empty")
-    for i, j in edges:
-        if i < 0 or j < 0:
+    bad = _first_bad_edge(ends)
+    if bad is not None:
+        row, _, negative = bad
+        i, j = ends[row].tolist()
+        if negative:
             raise GraphValidityError(f"edge ({i}, {j}) has a negative node id")
-        if i == j:
-            raise GraphValidityError(f"self-loop at node {i} is not allowed")
-    node_count = max(max(i, j) for i, j in edges) + 1
-    return Graph(node_count, tuple(edges))
+        raise GraphValidityError(f"self-loop at node {i} is not allowed")
+    return Graph(int(ends.max()) + 1, ends)
 
 
 def bfs_layers(g: Graph, source: int) -> DistanceLayers:
@@ -386,19 +500,17 @@ def gen_rgg(n: int, radius: float, seed: int) -> GeoGraph:
     close = dist2 <= radius * radius
     ii, jj = np.nonzero(np.triu(close, k=1))
     del diff, dist2, close  # free the n x n temporaries before the graph is built
-    edges = tuple((int(a), int(b)) for a, b in zip(ii, jj))
-    g = Graph(n, edges)
+    g = Graph(n, np.stack((ii, jj), axis=1))
     if g.is_connected():
         return GeoGraph(graph=g, positions=pts, discarded=0)
 
     keep = _largest_component(g)
     if len(keep) < 2:
         raise GraphValidityError("largest connected component has fewer than 2 nodes")
-    relabel = {old: new for new, old in enumerate(keep)}
-    kept_edges = tuple(
-        (relabel[i], relabel[j]) for i, j in g.edges if i in relabel and j in relabel
-    )
-    sub = Graph(len(keep), kept_edges)
+    relabel = np.full(n, -1, dtype=np.int64)
+    relabel[keep] = np.arange(len(keep))
+    ends = relabel[g.edge_array]
+    sub = Graph(len(keep), ends[(ends >= 0).all(axis=1)])
     return GeoGraph(graph=sub, positions=pts[keep], discarded=n - len(keep))
 
 
@@ -417,19 +529,22 @@ def line_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
 
     Returns the dual graph and the mapping from dual node id to the original
     edge it represents.
+
+    Two distinct edges share at most one endpoint, so the dual edges are the
+    nonzero entries above the diagonal of B^T B, where B is the sparse
+    node-edge incidence matrix. B has a row only for the nodes that occur in
+    edges, so the cost does not grow with the node count.
     """
-    if not g.edges:
+    ends = g.edge_array
+    m = len(ends)
+    if not m:
         raise GraphValidityError("line graph of an edgeless graph is undefined")
-    edge_id = {e: k for k, e in enumerate(g.edges)}
-    incident: list[list[int]] = [[] for _ in range(g.node_count)]
-    for e, k in edge_id.items():
-        incident[e[0]].append(k)
-        incident[e[1]].append(k)
-    dual_edges: set[tuple[int, int]] = set()
-    for ids in incident:
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                x, y = ids[a], ids[b]
-                dual_edges.add((min(x, y), max(x, y)))
-    dual = Graph(len(g.edges), tuple(dual_edges))
+    ids = _distinct(np.sort(ends, axis=None))
+    incidence = csr_matrix(
+        (np.ones(2 * m, dtype=np.int32), (np.searchsorted(ids, ends).ravel(), np.repeat(np.arange(m), 2))),
+        shape=(ids.size, m),
+    )
+    shared = (incidence.T @ incidence).tocoo()
+    upper = shared.row < shared.col
+    dual = Graph(m, np.stack((shared.row[upper], shared.col[upper]), axis=1))
     return dual, g.edges

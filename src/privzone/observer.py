@@ -156,7 +156,7 @@ def _physical_memory() -> int | None:
 
 def observed_broadcast_set(trace: WalkTrace) -> set[int]:
     """Nodes the observer has seen a broadcast from."""
-    return set(np.unique(trace.nodes[trace.broadcast]).tolist())
+    return set(np.flatnonzero(np.bincount(trace.nodes[trace.broadcast])).tolist())
 
 
 def coverage_step(trace: WalkTrace, node_count: int) -> int | None:

@@ -87,7 +87,7 @@ def sweep(g: Graph, s: int, density: DensityMap | None = None) -> list[SweepRow]
     ecc = int(from_s.max())
 
     suppressed = np.cumsum(np.bincount(from_s, minlength=top + 1))
-    ends = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2)
+    ends = g.edge_array
     nearer = np.minimum(from_s[ends[:, 0]], from_s[ends[:, 1]])
     cost = np.cumsum(np.bincount(nearer, minlength=top + 1))
 

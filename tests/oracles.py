@@ -7,7 +7,9 @@ ones: `brandes_per_source` (one BFS per source), `sweep_by_analyze` (one
 `analyze` per radius), `posterior_by_bfs` (one `bfs_layers` per node) and
 the walk-trace loops (`walk_steps_by_loop`, `trace_csv_by_loop`,
 `observed_by_loop`, `coverage_by_loop`), which hold a walk as a tuple of
-`(t, node, broadcast)` tuples.
+`(t, node, broadcast)` tuples, and the graph construction through Python
+tuples (`TupleGraph`, `build_graph_by_tuples`, `parse_edge_list_by_lines`,
+`line_graph_by_sets`) that the array-native `Graph` replaced.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 
 from privzone import (
     Graph,
+    GraphValidityError,
     InfeasibleError,
     Posterior,
     SweepRow,
@@ -28,6 +31,7 @@ from privzone import (
     build_graph,
     diameter,
 )
+from privzone.fileio import ParseError, _data_lines
 
 
 def shortest_path_distances(g: Graph, s: int) -> dict[int, int]:
@@ -242,6 +246,92 @@ def coverage_by_loop(steps, node_count: int) -> int | None:
         if len(visited) == node_count:
             return t
     return None
+
+
+class TupleGraph:
+    """`privzone.Graph` as it was built through Python tuples: a sorted set of
+    (min, max) pairs and one neighbour list per node, built eagerly."""
+
+    def __init__(self, node_count: int, edges: tuple[tuple[int, int], ...]):
+        if node_count < 1:
+            raise GraphValidityError("graph needs at least one node")
+        for i, j in edges:
+            if i == j:
+                raise GraphValidityError(f"self-loop at node {i} is not allowed")
+            if not (0 <= i < node_count and 0 <= j < node_count):
+                raise GraphValidityError(f"edge ({i}, {j}) references a node outside 0..{node_count - 1}")
+        canonical = sorted({(min(i, j), max(i, j)) for i, j in edges})
+        adj: list[list[int]] = [[] for _ in range(node_count)]
+        for i, j in canonical:
+            adj[i].append(j)
+            adj[j].append(i)
+        self.node_count: int = node_count
+        self.edges: tuple[tuple[int, int], ...] = tuple(canonical)
+        self.adjacency: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
+        self._csr = None
+        self._dist = None
+        self._unreachable = -1  # lazily computed witness; -1 unknown, node_count means none
+
+
+def build_graph_by_tuples(edge_list) -> TupleGraph:
+    """Build an undirected graph from (i, j) pairs.
+
+    Duplicate edges (in either orientation) collapse to one. Node count is
+    max id + 1. Self-loops and an empty edge list are rejected.
+    """
+    edges = [(int(i), int(j)) for i, j in edge_list]
+    if not edges:
+        raise GraphValidityError("edge list is empty")
+    for i, j in edges:
+        if i < 0 or j < 0:
+            raise GraphValidityError(f"edge ({i}, {j}) has a negative node id")
+        if i == j:
+            raise GraphValidityError(f"self-loop at node {i} is not allowed")
+    node_count = max(max(i, j) for i, j in edges) + 1
+    return TupleGraph(node_count, tuple(edges))
+
+
+def parse_edge_list_by_lines(text: str) -> TupleGraph:
+    """Parse `i j` lines into a graph."""
+    edges = []
+    for lineno, line in _data_lines(text):
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(f"line {lineno}: expected two node ids, got {line!r}")
+        try:
+            i, j = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: node ids must be integers, got {line!r}") from exc
+        if i < 0 or j < 0:
+            raise ParseError(f"line {lineno}: node ids must be nonnegative, got {line!r}")
+        edges.append((i, j))
+    if not edges:
+        raise ParseError("edge list contains no edges")
+    return build_graph_by_tuples(edges)
+
+
+def line_graph_by_sets(g: Graph) -> tuple[TupleGraph, tuple[tuple[int, int], ...]]:
+    """Edge-to-vertex dual: one node per edge of g, adjacent iff the edges share
+    an endpoint.
+
+    Returns the dual graph and the mapping from dual node id to the original
+    edge it represents.
+    """
+    if not g.edges:
+        raise GraphValidityError("line graph of an edgeless graph is undefined")
+    edge_id = {e: k for k, e in enumerate(g.edges)}
+    incident: list[list[int]] = [[] for _ in range(g.node_count)]
+    for e, k in edge_id.items():
+        incident[e[0]].append(k)
+        incident[e[1]].append(k)
+    dual_edges: set[tuple[int, int]] = set()
+    for ids in incident:
+        for a in range(len(ids)):
+            for b in range(a + 1, len(ids)):
+                x, y = ids[a], ids[b]
+                dual_edges.add((min(x, y), max(x, y)))
+    dual = TupleGraph(len(g.edges), tuple(dual_edges))
+    return dual, g.edges
 
 
 def random_connected_graph(n: int, extra_prob: float, rng: random.Random) -> Graph:

@@ -1,7 +1,13 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import privzone
 from privzone import build_graph
 from privzone.cli import main
 from privzone.fileio import format_edge_list, parse_edge_list
@@ -212,6 +218,77 @@ class TestSimulateInfeasible:
         assert code == 3
         assert "node 2 is unreachable from node 0" in capsys.readouterr().err
         assert not (tmp_path / "p.csv").exists()
+
+
+# Runs each argv (a JSON list) through `main` and prints [exit code, stderr]
+# for each, as JSON.
+_MAIN_SCRIPT = """
+import contextlib, io, json, sys
+from privzone.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    results.append([code, err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def _run_capped(argvs, limit=3 << 30):
+    """`main` on each argv in a child process whose address space is capped
+    at `limit` bytes, so that a node-sized allocation (8 GB for 10**9 int64
+    ids) fails there with a MemoryError instead of growing."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(privzone.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _MAIN_SCRIPT, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, preexec_fn=cap, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestHugeNodeIds:
+    """An edge list naming node 10**9 makes a graph of 10**9 + 1 nodes.
+    Every command that needs a connected graph refuses it from the ids its
+    edges name, before any node-sized allocation."""
+
+    def test_disconnected_exit_3_naming_node_1(self, tmp_path):
+        graph = tmp_path / "huge.txt"
+        graph.write_text("0 1000000000\n", encoding="utf-8")
+        g = ["--graph", str(graph)]
+        argvs = [
+            ["sweep", *g, "--source", "0"],
+            ["analyze", *g, "--source", "0", "--radius", "1"],
+            ["optimize", *g, "--source", "0", "--problem", "1", "--gamma", "0.1"],
+            ["betweenness", *g],
+            ["simulate", *g, "--source", "0", "--radius", "1", "--steps", "10", "--seed", "1",
+             "--trace", str(tmp_path / "t.csv")],
+            ["line-graph", *g, "--output", str(tmp_path / "dual.txt"),
+             "--mapping", str(tmp_path / "map.txt")],
+        ]
+        results = _run_capped(argvs)
+        for argv, (code, err) in zip(argvs[:-1], results):
+            assert code == 3, argv
+            assert err == "error: graph is disconnected: node 1 is unreachable from node 0\n"
+        assert results[-1] == [0, ""]
+        assert (tmp_path / "dual.txt").read_text(encoding="utf-8") == ""
+        assert (tmp_path / "map.txt").read_text(encoding="utf-8") == "0 0 1000000000\n"
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_id_beyond_int64_exits_2(self, tmp_path):
+        graph = tmp_path / "beyond.txt"
+        graph.write_text("0 1\n0 99999999999999999999\n", encoding="utf-8")
+        argvs = [[cmd, "--graph", str(graph), "--source", "0"] for cmd in ("sweep", "analyze")]
+        argvs[1] += ["--radius", "1"]
+        argvs.append(["line-graph", "--graph", str(graph)])
+        for code, err in _run_capped(argvs):
+            assert code == 2
+            assert err == ("error: line 2: node ids must fit in int64, "
+                           "got '0 99999999999999999999'\n")
 
 
 class TestExperiment:

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privzone import (
     Graph,
@@ -19,8 +21,11 @@ from privzone.graph import _largest_component
 from scipy.sparse.csgraph import dijkstra
 
 from oracles import (
+    TupleGraph,
     brandes_per_source,
+    build_graph_by_tuples,
     connected_atlas_graphs,
+    line_graph_by_sets,
     naive_betweenness,
     random_connected_graph,
     relabelled,
@@ -380,3 +385,161 @@ class TestLayerProperties:
                 for d, layer in enumerate(layers.layers):
                     for v in layer:
                         assert dist[s, v] == d
+
+
+def _built(make, *args):
+    try:
+        return make(*args)
+    except GraphValidityError as exc:
+        return type(exc), str(exc)
+
+
+def _same_graph(g, ref):
+    """`g` (a Graph) equals `ref` (a TupleGraph) in node count, edges and
+    adjacency; its CSR holds the same adjacency."""
+    assert (g.node_count, g.edges, g.adjacency) == (ref.node_count, ref.edges, ref.adjacency)
+    csr = g.csr()
+    bounds = csr.indptr.tolist()
+    assert [tuple(csr.indices[a:b].tolist()) for a, b in zip(bounds, bounds[1:])] == list(ref.adjacency)
+    assert g.edge_array.dtype == np.int64 and g.edge_array.shape == (len(ref.edges), 2)
+
+
+_PAIRS = st.lists(st.tuples(st.integers(-2, 13), st.integers(-2, 13)), max_size=30)
+
+
+class TestGraphMatchesTuples:
+    """`Graph` and `build_graph` against the tuple construction they
+    replaced (`tests/oracles.py`), from tuples and from arrays alike: an
+    equal graph, or the same exception type and message."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(-1, 14), _PAIRS)
+    def test_graph_from_tuples_and_arrays(self, n, pairs):
+        ref = _built(TupleGraph, n, tuple(pairs))
+        from_tuples = _built(Graph, n, tuple(pairs))
+        from_array = _built(Graph, n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+        if isinstance(ref, tuple):
+            assert from_tuples == ref and from_array == ref
+            return
+        _same_graph(from_tuples, ref)
+        _same_graph(from_array, ref)
+        assert from_tuples == from_array and hash(from_tuples) == hash(from_array)
+        assert (from_tuples.csr() != from_array.csr()).nnz == 0
+
+    @settings(max_examples=400, deadline=None)
+    @given(_PAIRS)
+    def test_build_graph_from_tuples_and_arrays(self, pairs):
+        ref = _built(build_graph_by_tuples, pairs)
+        from_tuples = _built(build_graph, pairs)
+        from_array = _built(build_graph, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+        if isinstance(ref, tuple):
+            assert from_tuples == ref and from_array == ref
+            return
+        _same_graph(from_tuples, ref)
+        _same_graph(from_array, ref)
+        assert from_tuples == from_array and hash(from_tuples) == hash(from_array)
+
+    def test_equality_and_hash_follow_content(self):
+        a = Graph(4, ((2, 1), (0, 1), (1, 2)))
+        b = Graph(4, np.array([[0, 1], [1, 2]]))
+        assert a == b and hash(a) == hash(b)
+        assert a != Graph(5, ((0, 1), (1, 2)))
+        assert a != Graph(4, ((0, 1), (1, 3)))
+        assert len({a, b, Graph(4, ((0, 1),))}) == 2
+
+    def test_edge_array_is_canonical_and_read_only(self):
+        source = np.array([[3, 0], [0, 3], [2, 1]])
+        g = Graph(4, source)
+        source[0] = (1, 1)  # the graph keeps its own copy
+        assert g.edge_array.tolist() == [[0, 3], [1, 2]]
+        with pytest.raises(ValueError):
+            g.edge_array[0, 0] = 2
+
+    def test_ids_beyond_int64_rejected(self):
+        with pytest.raises(GraphValidityError, match="int64"):
+            Graph(3, ((0, 2**63),))
+        with pytest.raises(GraphValidityError, match="int64"):
+            build_graph([(0, 2**64)])
+
+    def test_malformed_pairs_rejected(self):
+        with pytest.raises(GraphValidityError, match="pairs"):
+            Graph(4, np.array([[0, 1, 2]]))
+
+
+class TestHugeNodeIds:
+    """A node count far beyond the edges allocates nothing n-sized until
+    something asks for it; connectivity reads only the ids in edges.
+
+    The node counts here are at least 2**40, so that code allocating one
+    int64 per node would fail at once (8 TB) instead of filling memory.
+    """
+
+    def test_witness_names_node_1(self):
+        g = build_graph([(0, 2**40)])
+        assert g.node_count == 2**40 + 1
+        assert g.unreachable_from_zero() == 1
+        with pytest.raises(GraphValidityError, match="node 1 is unreachable"):
+            g.distance_matrix()
+        with pytest.raises(GraphValidityError, match="node 1 is unreachable"):
+            betweenness(g)
+
+    def test_line_graph_has_one_dual_node(self):
+        dual, mapping = line_graph(build_graph([(0, 2**40)]))
+        assert dual.node_count == 1 and dual.edges == ()
+        assert mapping == ((0, 2**40),)
+
+    def test_witness_from_occurring_ids(self):
+        # node 3 has no edge; node 2 has one, in another component
+        cases = [
+            (Graph(6, ((0, 1), (2, 4), (1, 5))), 2),
+            (Graph(6, ((0, 1), (1, 2), (2, 4), (4, 5))), 3),
+            (Graph(4, ((1, 2), (2, 3))), 1),
+            (Graph(3, ()), 1),
+            (Graph(2**40, ((0, 1), (1, 2))), 3),
+            (Graph(2**63, ((0, 2**63 - 1), (1, 2))), 1),
+            (Graph(2**63, ((0, 2**63 - 1), (0, 1), (1, 2))), 3),
+        ]
+        for g, witness in cases:
+            assert g.unreachable_from_zero() == witness
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 12), st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=14))
+    def test_witness_matches_bfs(self, n, pairs):
+        pairs = [(i, j) for i, j in pairs if i != j and i < n and j < n]
+        g = Graph(n, tuple(pairs))
+        ref = TupleGraph(n, tuple(pairs))
+        seen, queue = {0}, [0]
+        while queue:
+            for w in ref.adjacency[queue.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        missing = [v for v in range(n) if v not in seen]
+        assert g.unreachable_from_zero() == (missing[0] if missing else None)
+
+
+class TestLineGraphMatchesSets:
+    """`line_graph` (incidence product) against the set-based dual it
+    replaced (`tests/oracles.py`)."""
+
+    def check(self, g):
+        dual, mapping = line_graph(g)
+        ref, ref_mapping = line_graph_by_sets(g)
+        _same_graph(dual, ref)
+        assert mapping == ref_mapping
+
+    def test_atlas(self):
+        for g in connected_atlas_graphs():
+            self.check(g)
+
+    def test_random_graphs(self):
+        rng = random.Random(41)
+        for _ in range(100):
+            self.check(random_connected_graph(rng.randint(2, 30), rng.random() * 0.4, rng))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_rgg(self, seed):
+        self.check(gen_rgg(300, 0.12, seed).graph)
+
+    def test_disconnected_and_sparse_ids(self):
+        self.check(Graph(9, ((0, 1), (5, 8), (1, 2), (2, 0))))

@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from privzone import analyze, build_graph, gen_rgg, simulate_walk, solve_constrained, sweep
+from privzone import Graph, analyze, build_graph, gen_rgg, simulate_walk, solve_constrained, sweep
 from privzone.fileio import (
     ParseError,
     format_averaged_sweep_csv,
@@ -21,7 +23,11 @@ from privzone.fileio import (
     parse_sweep_csv,
     read_text,
 )
+from privzone.fileio import _data_lines, _edge_lines, _edge_tokens
+from privzone.graph import GraphValidityError
 from privzone.observer import WalkTrace, posterior_bruteforce
+
+from oracles import parse_edge_list_by_lines
 
 
 class TestEdgeList:
@@ -60,6 +66,147 @@ class TestEdgeList:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="no/such/file"):
             read_text("no/such/file")
+
+
+INT64_MAX = 2**63 - 1
+
+# Node-id tokens: small ids (so the tuple oracle's graphs stay small), ids
+# `int` reads with a sign, underscores, leading zeros or unicode digits,
+# non-integers, negative ids and ids beyond int64.
+_TOKENS = st.sampled_from(
+    [str(v) for v in range(13)]
+    + ["+4", "1_0", "007", "-0", "\u0663", "\uff15", "-3", "-10", "x", "0x1", "2.0", "1e1",
+       "#", "1#", "9223372036854775808", "99999999999999999999", "-99999999999999999999"]
+)
+_SPACES = st.sampled_from([" ", "  ", "\t", " \t ", "\x1f", "\u2003", "\xa0"])
+_ENDINGS = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\x0c", "\x1e", "\x85", "\u2028"])
+
+
+@st.composite
+def _edge_list_texts(draw):
+    """Edge-list-like texts: mostly `i j` lines, with comment and blank
+    lines, 1- and 3-token lines, odd whitespace and line endings, and
+    sometimes no final newline."""
+    plain = draw(st.booleans())  # plain texts reach the array path more often
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["pair"] * 6 + ["comment", "blank", "one", "three"]))
+        if kind == "comment":
+            body = "#" + draw(st.sampled_from(["", " note", " 0 1 2", "x y"]))
+        elif kind == "blank":
+            body = ""
+        else:
+            count = {"pair": 2, "one": 1, "three": 3}[kind]
+            tokens = draw(st.lists(_TOKENS if not plain else st.sampled_from([str(v) for v in range(13)]),
+                                   min_size=count, max_size=count))
+            gap = " " if plain else draw(_SPACES)
+            body = gap.join(tokens)
+        pad = "" if plain else draw(st.sampled_from(["", " ", "\t", "  "]))
+        lines.append(pad + body + pad)
+    ending = "\n" if plain else draw(_ENDINGS)
+    text = ending.join(lines)
+    if lines and draw(st.booleans()):
+        text += ending
+    return text
+
+
+def _outcome(parse, text):
+    try:
+        g = parse(text)
+    except (ParseError, GraphValidityError) as exc:
+        return type(exc), str(exc)
+    return g.node_count, g.edges, g.adjacency
+
+
+def _expected(text):
+    """What `parse_edge_list` must do: what the line-by-line oracle does,
+    except that an id beyond int64 is an error of its line, where the
+    oracle would go on to allocate that many nodes."""
+    for lineno, line in _data_lines(text):
+        parts = line.split()
+        try:
+            ids = [int(p) for p in parts]
+        except ValueError:
+            continue
+        if len(ids) == 2 and min(ids) >= 0 and max(ids) > INT64_MAX:
+            before = _outcome(parse_edge_list_by_lines, "\n".join(text.splitlines()[:lineno - 1]))
+            if before[0] is ParseError and before[1].startswith("line "):
+                return before
+            return ParseError, f"line {lineno}: node ids must fit in int64, got {line!r}"
+    return _outcome(parse_edge_list_by_lines, text)
+
+
+class TestEdgeListMatchesLines:
+    """`parse_edge_list` against the line-by-line parser and tuple graph it
+    replaced (`tests/oracles.py`): an equal graph, or the same exception
+    type and message."""
+
+    @settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_edge_list_texts())
+    def test_generated_texts(self, text):
+        assert _outcome(parse_edge_list, text) == _expected(text)
+        ends = _edge_tokens(text)
+        if ends is not None:  # the array path vouched: the scan must agree
+            assert np.array_equal(ends, _edge_lines(text))
+
+    CASES = [
+        "0 1\n1 2\n",
+        "# a path\n\n0 1\n   \n1 2\n# end\n",
+        "0 1\r\n1 2\r\n",
+        "0\t1\n\t1   2  \n",
+        "0 1\n1 2",
+        "+0 1_0\n007 3\n",
+        "2 1\n1 2\n0 2\n2 0\n",
+        "0 1\n  # 0 1 2\n#\n1 2\n",
+        "1 1\n",
+        "0 1\n2 2\n",
+        "0 1\n0 -1\n2 2\n",
+        "0 1\n2 3 4\n",
+        "0 1\n2\n",
+        "0 x\n",
+        "0 -0\n1 2\n",
+        "0 1 # note\n",
+        "",
+        "# nothing\n\n",
+        "0 99999999999999999999\n",
+        "0 99999999999999999999\n1 2 3\n",
+        "1 2 3\n0 99999999999999999999\n",
+    ]
+
+    @pytest.mark.parametrize("text", CASES)
+    def test_cases(self, text):
+        assert _outcome(parse_edge_list, text) == _expected(text)
+
+    @pytest.mark.parametrize("text", CASES[:8])
+    def test_array_path_reads_plain_text(self, text):
+        assert _edge_tokens(text) is not None
+
+    @pytest.mark.parametrize("text", [
+        "0 1\r1 2\n",  # a bare \r ends a line for splitlines only
+        "0 1\x0c1 2\n",
+        "0 1\n\u0663 2\n",
+        "0 1\u20032\n",
+        "0 99999999999999999999\n",
+        "0 1\n2 3 4\n",
+    ])
+    def test_line_scan_judges_unusual_text(self, text):
+        assert _edge_tokens(text) is None
+        assert _outcome(parse_edge_list, text) == _expected(text)
+
+    def test_largest_int64_id(self):
+        g = parse_edge_list("0 9223372036854775807\n1 2\n")
+        assert g.node_count == 2**63
+        assert g.edges == ((0, 9223372036854775807), (1, 2))
+        assert g.unreachable_from_zero() == 1
+
+    def test_criterion_9_graph_round_trip(self):
+        g = gen_rgg(1000, 0.1, 424242).graph
+        text = format_edge_list(g)
+        assert _edge_tokens(text) is not None
+        back = parse_edge_list(text)
+        assert back == g
+        ref = parse_edge_list_by_lines(text)
+        assert back.edges == ref.edges and back.adjacency == ref.adjacency
 
 
 class TestPositions:
@@ -157,6 +304,13 @@ class TestOtherFormats:
         trace = WalkTrace(nodes=[v for _, v, _ in steps], broadcast=[b for _, _, b in steps])
         assert format_trace_csv(trace) == want
         assert format_trace_csv(WalkTrace(nodes=[], broadcast=[])) == "t,node,broadcast\n"
+
+    def test_edge_list_across_chunks(self):
+        # the formatter writes 16384 edges at a time; cross two boundaries
+        n = 2 * 16384 + 6
+        g = build_graph([(i, i + 1) for i in range(n - 1)] + [(0, n - 1), (7, 900)])
+        assert format_edge_list(g) == "".join(f"{i} {j}\n" for i, j in g.edges)
+        assert format_edge_list(Graph(3, ())) == ""
 
     def test_posterior_csv_round_trips_mass(self, p4):
         posterior = posterior_bruteforce(p4, {3})
