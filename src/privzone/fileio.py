@@ -9,7 +9,6 @@ does not mention.
 from __future__ import annotations
 
 import json
-from itertools import compress
 
 import numpy as np
 
@@ -86,8 +85,9 @@ def _edge_tokens(text: str) -> np.ndarray | None:
     the text is not plainly valid and `_edge_lines` must judge it.
 
     Vouches only for ASCII text whose lines end in "\n" or "\r\n", in which
-    every line is blank, a comment, or two nonnegative integers that fit in
-    int64. `np.array(tokens, int64)` parses each token as `int` does.
+    every line is blank or two nonnegative integers that fit in int64.
+    `np.array(tokens, int64)` parses each token as `int` does, so a comment
+    line, whose first token starts with "#", is left to `_edge_lines`.
     """
     if not text.isascii() or text.count("\r") != text.count("\r\n"):
         return None
@@ -99,15 +99,8 @@ def _edge_tokens(text: str) -> np.ndarray | None:
     starts = ~space  # first character of each token
     starts[1:] &= space[:-1]
     started = np.cumsum(starts)
-    # per_line[k]: tokens on line k + 1; bounds[k]: tokens before it.
-    bounds = np.concatenate(([0], started[chars == 10], started[-1:]))
-    per_line = np.diff(bounds)
-    if "#" in text:
-        first = np.flatnonzero(starts)[bounds[:-1][per_line > 0]]
-        comment = np.zeros(len(per_line), dtype=bool)
-        comment[per_line > 0] = chars[first] == ord("#")
-        tokens = list(compress(tokens, np.repeat(~comment, per_line).tolist()))
-        per_line = per_line[~comment]
+    # per_line[k]: tokens on line k + 1, from the counts at each "\n" and the end.
+    per_line = np.diff(np.concatenate(([0], started[chars == 10], started[-1:])))
     if not ((per_line == 0) | (per_line == 2)).all():
         return None
     try:

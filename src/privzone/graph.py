@@ -164,8 +164,6 @@ class Graph:
         others come from the graph relabelled to those ids.
         """
         n = self.node_count
-        if n == 1:
-            return n
         ids = _distinct(np.sort(self._ends, axis=None))
         if ids.size == n:  # every node has an edge: the relabelling is the identity
             adj = self.csr()
@@ -223,21 +221,38 @@ class GeoGraph:
             raise GraphValidityError("positions must have one (x, y) row per node")
 
 
+_INT64_MAX = 2**63 - 1
 # Largest node count whose pair keys lo * n + hi fit in int64.
 _KEY_LIMIT = 3_037_000_499
 
 
 def _edge_array(edges) -> np.ndarray:
-    """`edges` as an int64 (m, 2) array."""
+    """`edges`, an integer array or any iterable of (i, j) pairs, as an
+    int64 (m, 2) array."""
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
     try:
-        ends = np.asarray(edges, dtype=np.int64)
-    except OverflowError:
-        raise GraphValidityError("node ids must fit in int64") from None
+        ends = np.asarray(edges)
+    except ValueError:  # pairs of unequal length
+        raise GraphValidityError("edges must be (i, j) pairs") from None
     if ends.size == 0:
-        ends = ends.reshape(0, 2)
+        return np.empty((0, 2), dtype=np.int64)
     if ends.ndim != 2 or ends.shape[1] != 2:
         raise GraphValidityError("edges must be (i, j) pairs")
-    return ends
+    if ends.dtype.kind in "fO":
+        # Floats, or Python ints beyond int64 (NumPy holds those as objects,
+        # or as float64 when they fit in uint64): look at each id itself.
+        ends = np.asarray(edges, dtype=object)
+        if not all(isinstance(v, (int, np.integer)) for v in ends.flat):
+            raise GraphValidityError("node ids must be integers")
+    elif ends.dtype.kind not in "biu":
+        raise GraphValidityError("node ids must be integers")
+    try:
+        if ends.dtype.kind == "u" and ends.max() > _INT64_MAX:
+            raise OverflowError
+        return ends.astype(np.int64, copy=False)
+    except OverflowError:
+        raise GraphValidityError("node ids must fit in int64") from None
 
 
 def _first_bad_edge(ends: np.ndarray, node_count: int | None = None):
@@ -273,7 +288,12 @@ def _distinct(ascending: np.ndarray) -> np.ndarray:
 
 
 def _canonical(ends: np.ndarray, node_count: int) -> np.ndarray:
-    """Distinct (min, max) rows of a valid edge array, sorted."""
+    """Distinct (min, max) rows of a valid edge array, sorted.
+
+    One sort of the keys lo * n + hi while they fit in int64, else of the
+    rows. A row sort alone (`np.lexsort`) would serve every node count, but
+    took 2.0 ms against 0.23 ms for the keys on a 14k-edge list.
+    """
     lo = np.minimum(ends[:, 0], ends[:, 1])
     hi = np.maximum(ends[:, 0], ends[:, 1])
     if node_count > _KEY_LIMIT:

@@ -464,6 +464,21 @@ class TestGraphMatchesTuples:
     def test_malformed_pairs_rejected(self):
         with pytest.raises(GraphValidityError, match="pairs"):
             Graph(4, np.array([[0, 1, 2]]))
+        with pytest.raises(GraphValidityError, match="pairs"):
+            Graph(4, [(0, 1), (2,)])
+
+    def test_non_integer_ids_rejected(self):
+        for edges in (((0.5, 2),), ((0, 2.0),), np.array([[0.5, 2.0]]), (("0", "1"),), ((None, 1),)):
+            with pytest.raises(GraphValidityError, match="must be integers"):
+                Graph(3, edges)
+
+    def test_any_iterable_of_pairs(self):
+        ref = Graph(3, ((0, 1), (1, 2)))
+        assert Graph(3, {(2, 1), (0, 1)}) == ref
+        assert Graph(3, ((i, i + 1) for i in range(2))) == ref
+        assert Graph(3, [[np.int32(1), 0], (True, 2)]) == ref
+        assert Graph(3, np.array([[0, 1], [2, 1]], dtype=np.uint8)) == ref
+        assert Graph(1, []) == Graph(1, np.empty((0, 2), dtype=np.int64))
 
 
 class TestHugeNodeIds:

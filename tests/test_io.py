@@ -177,11 +177,13 @@ class TestEdgeListMatchesLines:
     def test_cases(self, text):
         assert _outcome(parse_edge_list, text) == _expected(text)
 
-    @pytest.mark.parametrize("text", CASES[:8])
+    @pytest.mark.parametrize("text", [CASES[0], *CASES[2:7]])
     def test_array_path_reads_plain_text(self, text):
         assert _edge_tokens(text) is not None
 
     @pytest.mark.parametrize("text", [
+        CASES[1],  # comment lines: the first token of each starts with "#"
+        CASES[7],
         "0 1\r1 2\n",  # a bare \r ends a line for splitlines only
         "0 1\x0c1 2\n",
         "0 1\n\u0663 2\n",
