@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import fileio
 from .experiment import ExperimentConfig, run_experiment
-from .graph import GraphValidityError, betweenness, gen_rgg, line_graph
+from .graph import Graph, GraphValidityError, betweenness, gen_rgg, line_graph
 from .observer import InfeasibleError, observed_broadcast_set, posterior_bruteforce, simulate_walk
 from .optimize import solve_constrained, solve_tradeoff, sweep
 from .policy import analyze
@@ -28,10 +28,13 @@ def _load_graph(path: str):
     return fileio.parse_edge_list(fileio.read_text(path))
 
 
-def _load_density(path: str | None, node_count: int):
+def _load_density(path: str | None, g: Graph):
+    """The density file for `g`, read only once `g` is known to be connected:
+    parsing it allocates one value per node."""
     if path is None:
         return None
-    return fileio.parse_density(fileio.read_text(path), node_count)
+    g.ensure_connected()
+    return fileio.parse_density(fileio.read_text(path), g.node_count)
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -43,7 +46,7 @@ def _emit(text: str, path: str | None) -> None:
 
 def _cmd_analyze(args) -> int:
     g = _load_graph(args.graph)
-    density = _load_density(args.density, g.node_count)
+    density = _load_density(args.density, g)
     result = analyze(g, args.source, args.radius, density)
     sys.stdout.write(fileio.format_json(result))
     return EXIT_OK
@@ -51,7 +54,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_sweep(args) -> int:
     g = _load_graph(args.graph)
-    density = _load_density(args.density, g.node_count)
+    density = _load_density(args.density, g)
     rows = sweep(g, args.source, density)
     _emit(fileio.format_sweep_csv(rows), args.output)
     return EXIT_OK
@@ -65,7 +68,7 @@ def _cmd_optimize(args) -> int:
         if args.xi is None or args.gamma is not None:
             raise fileio.ParseError("problem 2 takes --xi (and not --gamma)")
     g = _load_graph(args.graph)
-    density = _load_density(args.density, g.node_count)
+    density = _load_density(args.density, g)
     if args.problem == 1:
         solution = solve_tradeoff(g, args.source, args.gamma, density)
     else:
@@ -108,7 +111,7 @@ def _cmd_simulate(args) -> int:
     trace = simulate_walk(g, args.source, args.radius, args.steps, args.seed)
     _emit(fileio.format_trace_csv(trace), args.trace)
     if args.posterior is not None:
-        density = _load_density(args.density, g.node_count)
+        density = _load_density(args.density, g)
         posterior = posterior_bruteforce(g, observed_broadcast_set(trace), density)
         _emit(fileio.format_posterior_csv(posterior), args.posterior)
     return EXIT_OK

@@ -375,30 +375,6 @@ def induced_diameter(g: Graph, nodes) -> int:
         raise GraphValidityError("induced node set is empty")
     for v in node_set:
         g.check_node(v)
-    if len(node_set) == 1:
-        return 0
-    if len(node_set) > 64:
-        return _induced_diameter_sparse(g, node_set)
-    best = 0
-    for s in node_set:
-        dist = {s: 0}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in g.adjacency[u]:
-                if w in node_set and w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        if len(dist) != len(node_set):
-            missing = min(node_set - dist.keys())
-            raise GraphValidityError(
-                f"induced subgraph is disconnected: node {missing} is unreachable from node {s}"
-            )
-        best = max(best, max(dist.values()))
-    return best
-
-
-def _induced_diameter_sparse(g: Graph, node_set: set[int]) -> int:
     sel = np.fromiter(sorted(node_set), dtype=np.int64)
     sub = g.csr()[sel][:, sel]
     dist = dijkstra(sub, directed=False, unweighted=True)

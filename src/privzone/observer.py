@@ -11,9 +11,11 @@ enumeration: a node is a plausible private node exactly when some radius
 around it reproduces the observed broadcast set. It tries every radius of
 every node the observer never heard from (a heard node lies inside every
 ball around itself, so it cannot be the private node), reading each node's
-hop counts from `Graph.distance_rows`. It shares nothing with the
-layer-extrema rule of `policy.candidate_set` and `optimize.sweep`, so the
-two can be checked against each other; the tests hold it equal, bit for
+hop counts from `Graph.distance_rows`. It reads the same distance rows as
+`policy.candidate_set` and `optimize.sweep` but not their rule, which keeps
+a candidate v when max_{w in S} d(v, w) < min_{u not in S} d(v, u): here each
+radius's broadcast set is compared with the observation directly, so the
+two can be checked against each other. The tests hold it equal, bit for
 bit, to `posterior_by_bfs` in `tests/oracles.py`, the same enumeration over
 one breadth-first search per node.
 """
@@ -25,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import _ROW_BLOCK, Graph, bfs_layers
+from .graph import _ROW_BLOCK, Graph
+from .graph import bfs_layers  # noqa: F401  perfbench/tracing.py wraps observer.bfs_layers by name
 from .policy import DensityMap
 
 __all__ = [
@@ -120,11 +123,7 @@ def simulate_walk(g: Graph, s: int, h: int, steps: int, seed: int) -> WalkTrace:
             f"more than the {memory} bytes of physical memory"
         )
     g.ensure_connected()
-    layers = bfs_layers(g, s)
-    silenced = np.zeros(g.node_count, dtype=bool)
-    for d in range(min(h, layers.eccentricity) + 1):
-        for v in layers.layers[d]:
-            silenced[v] = True
+    silenced = g.distance_rows([s])[0] <= h
 
     adj = g.adjacency
     deg = [len(a) for a in adj]

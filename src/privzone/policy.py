@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, GraphValidityError, induced_diameter
+from .graph import Graph
+from .graph import induced_diameter  # noqa: F401  perfbench/tracing.py wraps policy.induced_diameter by name
 
 __all__ = [
     "DensityMap",
@@ -99,68 +100,53 @@ def _check_policy_args(g: Graph, s: int, h: int) -> None:
         raise ValueError("suppression radius must be >= 0")
 
 
+def _distances_from(g: Graph, s: int, h: int) -> np.ndarray:
+    """Hop counts from s to every node, once the policy arguments check out."""
+    _check_policy_args(g, s, h)
+    return g.distance_rows([s])[0]
+
+
 def suppressed_set(g: Graph, s: int, h: int) -> set[int]:
     """Nodes within h hops of s (the closed ball where the agent is silent)."""
-    _check_policy_args(g, s, h)
-    dist = g.distance_matrix()[s]
-    return set(np.flatnonzero(dist <= h).tolist())
+    return set(np.flatnonzero(_distances_from(g, s, h) <= h).tolist())
 
 
 def broadcast_set(g: Graph, s: int, h: int) -> set[int]:
     """Nodes at distance >= h+1 from s, where positions are still reported."""
-    _check_policy_args(g, s, h)
-    dist = g.distance_matrix()[s]
-    return set(np.flatnonzero(dist > h).tolist())
+    return set(np.flatnonzero(_distances_from(g, s, h) > h).tolist())
 
 
 def boundary_set(g: Graph, s: int, h: int) -> set[int]:
-    """Broadcast nodes with at least one silenced neighbor."""
-    _check_policy_args(g, s, h)
-    dist = g.distance_matrix()[s]
-    silenced = dist <= h
-    out = set()
-    for v in np.flatnonzero(~silenced).tolist():
-        if any(silenced[w] for w in g.adjacency[v]):
-            out.add(v)
-    return out
+    """Broadcast nodes with at least one silenced neighbor: in a connected
+    graph, exactly the nodes at distance h+1 from s."""
+    return set(np.flatnonzero(_distances_from(g, s, h) == h + 1).tolist())
 
 
 def excluded_edges(g: Graph, s: int, h: int) -> set[tuple[int, int]]:
     """Edges with at least one endpoint within h hops of s (no reports there)."""
-    _check_policy_args(g, s, h)
-    dist = g.distance_matrix()[s]
-    return {(i, j) for i, j in g.edges if dist[i] <= h or dist[j] <= h}
+    ends = g.edge_array
+    near = _distances_from(g, s, h)[ends].min(axis=1) <= h
+    return set(map(tuple, ends[near].tolist()))
 
 
 def candidate_set(g: Graph, s: int, h: int) -> set[int]:
     """Smallest node set the observer can certify contains s, given the
     broadcast set of the (s, h) policy.
 
-    A silenced node v qualifies iff some distance layer of v reproduces the
-    observed boundary while the layers below it reproduce the silenced ball
-    exactly, with the layer index capped at the silenced ball's induced
-    diameter plus one. When the policy silences the whole graph there is no
-    observation, and every node remains a candidate.
+    A node v is a candidate iff some ball around v is exactly the silenced
+    set S, that is iff the farthest silenced node is strictly closer to v
+    than the nearest broadcasting one:
+    max_{w in S} d(v, w) < min_{u not in S} d(v, u). This is the rule
+    `optimize.sweep` applies to every radius at once; here it reads the
+    distance rows of S only, O(|S| n) memory. When the policy silences the
+    whole graph there is no observation, and every node remains a candidate.
     """
-    _check_policy_args(g, s, h)
-    dist = g.distance_matrix()
-    suppressed = dist[s] <= h
-    if suppressed.all():
+    silenced = _distances_from(g, s, h) <= h
+    if silenced.all():
         return set(range(g.node_count))
-
-    boundary = dist[s] == h + 1
-    sel = np.flatnonzero(suppressed)
-    cap = induced_diameter(g, sel.tolist()) + 1
-
-    rows = dist[sel]
-    # For each v, the only layer index that can match is one past the farthest
-    # silenced node: below it the ball is too small, above it the ball already
-    # leaked into broadcast territory.
-    reach = rows[:, suppressed].max(axis=1)
-    delta = reach + 1
-    ball_matches = ((rows <= reach[:, None]) == suppressed).all(axis=1)
-    layer_matches = ((rows == delta[:, None]) == boundary).all(axis=1)
-    ok = (delta <= cap) & ball_matches & layer_matches
+    sel = np.flatnonzero(silenced)
+    rows = g.distance_rows(sel)
+    ok = rows[:, silenced].max(axis=1) < rows[:, ~silenced].min(axis=1)
     return set(sel[ok].tolist())
 
 

@@ -4,12 +4,14 @@ Most of it is deliberately naive (explicit enumeration, dict-based BFS) so it
 shares no code path with the library implementations it checks. The rest are
 slower formulations of library functions, kept as references for the faster
 ones: `brandes_per_source` (one BFS per source), `sweep_by_analyze` (one
-`analyze` per radius), `posterior_by_bfs` (one `bfs_layers` per node) and
-the walk-trace loops (`walk_steps_by_loop`, `trace_csv_by_loop`,
-`observed_by_loop`, `coverage_by_loop`), which hold a walk as a tuple of
-`(t, node, broadcast)` tuples, and the graph construction through Python
-tuples (`TupleGraph`, `build_graph_by_tuples`, `parse_edge_list_by_lines`,
-`line_graph_by_sets`) that the array-native `Graph` replaced.
+`analyze` per radius), `candidate_set_by_layers` (the layer-matching
+candidate rule with its induced-diameter cap), `posterior_by_bfs` (one
+`bfs_layers` per node) and the walk-trace loops (`walk_steps_by_loop`,
+`trace_csv_by_loop`, `observed_by_loop`, `coverage_by_loop`), which hold a
+walk as a tuple of `(t, node, broadcast)` tuples, and the graph
+construction through Python tuples (`TupleGraph`, `build_graph_by_tuples`,
+`parse_edge_list_by_lines`, `line_graph_by_sets`) that the array-native
+`Graph` replaced.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from privzone import (
     bfs_layers,
     build_graph,
     diameter,
+    induced_diameter,
 )
 from privzone.fileio import ParseError, _data_lines
 
@@ -161,6 +164,36 @@ def sweep_by_analyze(g: Graph, s: int, density=None) -> list[SweepRow]:
             )
         )
     return rows
+
+
+def candidate_set_by_layers(g: Graph, s: int, h: int) -> set[int]:
+    """`privzone.candidate_set` by the layer-matching rule it used before the
+    max/min rule: a silenced node v qualifies iff some distance layer of v
+    reproduces the observed boundary while the layers below it reproduce the
+    silenced ball exactly, with the layer index capped at the silenced
+    ball's induced diameter plus one."""
+    g.check_node(s)
+    if h < 0:
+        raise ValueError("suppression radius must be >= 0")
+    dist = g.distance_matrix()
+    suppressed = dist[s] <= h
+    if suppressed.all():
+        return set(range(g.node_count))
+
+    boundary = dist[s] == h + 1
+    sel = np.flatnonzero(suppressed)
+    cap = induced_diameter(g, sel.tolist()) + 1
+
+    rows = dist[sel]
+    # For each v, the only layer index that can match is one past the farthest
+    # silenced node: below it the ball is too small, above it the ball already
+    # leaked into broadcast territory.
+    reach = rows[:, suppressed].max(axis=1)
+    delta = reach + 1
+    ball_matches = ((rows <= reach[:, None]) == suppressed).all(axis=1)
+    layer_matches = ((rows == delta[:, None]) == boundary).all(axis=1)
+    ok = (delta <= cap) & ball_matches & layer_matches
+    return set(sel[ok].tolist())
 
 
 def posterior_by_bfs(g: Graph, observed: set[int], density=None) -> Posterior:

@@ -57,6 +57,12 @@ class TestAnalyze:
         assert code == 3
         assert "node 2" in capsys.readouterr().err
 
+    def test_disconnected_graph_wins_over_bad_density(self, disconnected_file, capsys):
+        code = main(["analyze", "--graph", disconnected_file, "--source", "0", "--radius", "1",
+                     "--density", "does/not/exist"])
+        assert code == 3
+        assert "node 2" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_csv_rows(self, p4_file, capsys):
@@ -278,6 +284,24 @@ class TestHugeNodeIds:
         assert (tmp_path / "dual.txt").read_text(encoding="utf-8") == ""
         assert (tmp_path / "map.txt").read_text(encoding="utf-8") == "0 0 1000000000\n"
         assert not (tmp_path / "t.csv").exists()
+
+    def test_density_read_after_connectivity(self, tmp_path):
+        # parsing a density file allocates one float per node
+        graph = tmp_path / "huge.txt"
+        graph.write_text("0 1000000000\n", encoding="utf-8")
+        density = tmp_path / "rho.txt"
+        density.write_text("default 1.0\n", encoding="utf-8")
+        g = ["--graph", str(graph), "--density", str(density), "--source", "0"]
+        argvs = [
+            ["analyze", *g, "--radius", "1"],
+            ["sweep", *g],
+            ["optimize", *g, "--problem", "2", "--xi", "0.5"],
+            ["simulate", *g, "--radius", "1", "--steps", "10", "--seed", "1",
+             "--trace", str(tmp_path / "t.csv"), "--posterior", str(tmp_path / "p.csv")],
+        ]
+        for argv, (code, err) in zip(argvs, _run_capped(argvs)):
+            assert code == 3, argv
+            assert err == "error: graph is disconnected: node 1 is unreachable from node 0\n"
 
     def test_id_beyond_int64_exits_2(self, tmp_path):
         graph = tmp_path / "beyond.txt"

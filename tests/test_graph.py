@@ -129,8 +129,8 @@ class TestInducedDiameter:
         with pytest.raises(GraphValidityError, match="empty"):
             induced_diameter(c6, set())
 
-    def test_sparse_path_matches_small_path(self):
-        # force the >64-node code path and compare against full-set diameter
+    def test_whole_node_set_gives_diameter(self):
+        # the subgraph induced by every node is the graph itself
         rng = random.Random(17)
         g = random_connected_graph(90, 0.05, rng)
         all_nodes = set(range(g.node_count))

@@ -15,13 +15,14 @@ from privzone import (
     candidate_set,
     diameter,
     excluded_edges,
+    gen_rgg,
     posterior_bruteforce,
     privacy_density,
     privacy_uniform,
     suppressed_set,
 )
 
-from oracles import connected_atlas_graphs, random_connected_graph
+from oracles import candidate_set_by_layers, connected_atlas_graphs, random_connected_graph
 
 
 class TestSuppressedSet:
@@ -102,6 +103,51 @@ class TestCandidateSet:
 
     def test_silent_policy_leaves_everything_plausible(self, k4):
         assert candidate_set(k4, 0, 1) == {0, 1, 2, 3}
+
+
+class TestCandidateSetMatchesOracles:
+    """`candidate_set` keeps v when max_{w in S} d(v, w) < min_{u not in S}
+    d(v, u); the layer-matching rule it replaced and the brute-force
+    posterior judge it."""
+
+    def test_layer_rule_on_every_atlas_instance(self):
+        instances = 0
+        for g in connected_atlas_graphs():
+            ecc = g.distance_matrix().max(axis=1)
+            for s in range(g.node_count):
+                for h in range(int(ecc[s]) + 2):
+                    assert candidate_set(g, s, h) == candidate_set_by_layers(g, s, h), (
+                        g.edges, s, h)
+                    instances += 1
+        assert instances == 29075
+
+    def test_layer_rule_on_random_graphs(self):
+        rng = random.Random(89)
+        graphs = []
+        for seed in range(6):
+            n = rng.randint(60, 300)
+            graphs.append(gen_rgg(n, rng.uniform(1.6, 2.4) / n**0.5, seed).graph)
+            graphs.append(random_connected_graph(n, rng.uniform(0.5, 3.0) / n, rng))
+        proper = 0
+        for g in graphs:
+            ecc = g.distance_matrix().max(axis=1)
+            for s in rng.sample(range(g.node_count), 6):
+                for h in range(int(ecc[s]) + 2):
+                    cands = candidate_set(g, s, h)
+                    assert cands == candidate_set_by_layers(g, s, h), (g.node_count, s, h)
+                    proper += 1 < len(cands) < g.node_count
+        assert proper >= 100  # not only the pinned and the all-silent cases
+
+    def test_bruteforce_posterior_on_n300_rggs(self):
+        rng = random.Random(97)
+        for seed in (1, 2, 3):
+            g = gen_rgg(300, 0.12, seed).graph
+            ecc = g.distance_matrix().max(axis=1)
+            for _ in range(20):
+                s = rng.randrange(g.node_count)
+                h = rng.randint(0, int(ecc[s]))
+                posterior = posterior_bruteforce(g, broadcast_set(g, s, h))
+                assert candidate_set(g, s, h) == posterior.support, (seed, s, h)
 
 
 class TestPrivacyUniform:
@@ -227,10 +273,10 @@ class TestPolicyInvariants:
                     ball = suppressed_set(g, s, h)
                     rest = broadcast_set(g, s, h)
                     assert ball | rest == nodes and not ball & rest
-                    border = boundary_set(g, s, h)
-                    assert border <= rest
-                    for v in border:
-                        assert any(w in ball for w in g.adjacency[v])
+                    # the boundary is exactly the broadcast nodes with a
+                    # silenced neighbor, both ways round
+                    touching = {v for v in rest if any(w in ball for w in g.adjacency[v])}
+                    assert boundary_set(g, s, h) == touching
                     cands = candidate_set(g, s, h)
                     assert s in cands
                     assert cands <= ball
@@ -283,8 +329,6 @@ class TestPolicyInvariants:
                     assert privacy_uniform(cands) == float(posterior.mass[s])
 
     def test_candidates_match_bruteforce_oracle_random_rggs(self):
-        from privzone import gen_rgg
-
         rng = random.Random(71)
         checked = 0
         for seed in range(200):
