@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from dataclasses import dataclass
 
@@ -119,7 +120,8 @@ class Graph:
     def distance_matrix(self) -> np.ndarray:
         """All-pairs shortest-path hop counts, shape (n, n), dtype int32.
 
-        Requires a connected graph. Built once by `distance_rows` and cached.
+        Requires a connected graph. Built once by `distance_rows`, unless
+        `betweenness` has already left it as a by-product, and cached.
         """
         if self._dist is None:
             self.ensure_connected()  # before anything n-sized is allocated
@@ -387,7 +389,7 @@ def induced_diameter(g: Graph, nodes) -> int:
 
 
 # Sources per block in `betweenness`: each block holds two float64 arrays of
-# block x n path counts.
+# block x n path counts and one int32 array of block x n levels.
 _BETWEENNESS_BLOCK = 128
 
 
@@ -399,32 +401,44 @@ def betweenness(g: Graph) -> np.ndarray:
     path multiplicity) divided by the total number of shortest paths over the
     same pairs.
 
-    Brandes' accumulation runs level by level over blocks of 128 sources,
-    each reading its rows of the cached distance matrix. For source s,
-    sigma[v] counts the shortest s-v paths and psi[v] the shortest paths from
-    v on to nodes farther from s, so sigma[v] * psi[v] counts the shortest
-    paths from s through v. The forward pass gets sigma at level d as the
-    sparse product of the block's level-(d-1) (source, node) pairs with the
-    adjacency matrix, masked to the pairs at level d; the backward pass gets
-    psi at level d the same way from 1 + psi at level d+1.
+    Brandes' accumulation runs level by level over blocks of 128 sources.
+    For source s, sigma[v] counts the shortest s-v paths and psi[v] the
+    shortest paths from v on to nodes farther from s, so sigma[v] * psi[v]
+    counts the shortest paths from s through v. The forward pass is a
+    breadth-first search of the whole block at once: the sparse product of
+    the block's level-(d-1) (source, node) pairs, weighted by sigma, with the
+    adjacency matrix reaches level d, and gives sigma there, on the pairs no
+    earlier level reached. The backward pass gets psi at level d the same
+    way from 1 + psi at level d+1, masked to the pairs at level d.
+
+    The levels are the hop counts, so the search finds the distance matrix
+    as it goes: when the graph has none cached, the rows of every block are
+    kept and cached on `g` once the last block is done (`sweep` and
+    `diameter` then read them). Other readers of distances get them from
+    `Graph.distance_rows`, which is faster when no path counts are wanted.
 
     Every sigma, psi, product and sum is an integer held in float64. While
     they stay below 2**53 (all shortest paths together number about 7e10 on
     gen_rgg(1000, 0.1, 424242)) each is exact, so the result does not
     depend on the block size or on the order of summation.
     """
-    dist = g.distance_matrix()
+    g.ensure_connected()  # before anything n-sized is allocated
     n = g.node_count
     adj = g.csr()
+    dist = np.empty((n, n), dtype=np.int32) if g._dist is None else None
     through = np.zeros(n, dtype=np.float64)  # sum over sources of sigma[v] * psi[v]
     paths_from = np.zeros(n, dtype=np.float64)  # S_v = total shortest paths with source v
     for lo in range(0, n, _BETWEENNESS_BLOCK):
         sources = np.arange(lo, min(lo + _BETWEENNESS_BLOCK, n))
-        contrib = _block_path_counts(dist[sources], sources, adj)
+        contrib, level = _block_path_counts(sources, adj)
+        if dist is not None:
+            dist[sources] = level
         own = (np.arange(len(sources)), sources)
         paths_from[sources] = contrib[own]  # psi at the source counts every shortest path from s
         contrib[own] = 0.0
         through += contrib.sum(axis=0)
+    if dist is not None and g._dist is None:
+        g._dist = dist  # one assignment: other threads see None or every row
 
     total = paths_from.sum()
     denom = total - 2.0 * paths_from  # drop ordered pairs having v as an endpoint
@@ -434,42 +448,52 @@ def betweenness(g: Graph) -> np.ndarray:
     return out
 
 
-def _block_path_counts(rows: np.ndarray, sources: np.ndarray, adj: csr_matrix) -> np.ndarray:
-    """sigma * psi for each (source, node) pair of one block, shape (block, n).
+def _block_path_counts(sources: np.ndarray, adj: csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """sigma * psi for each (source, node) pair of one block, and the hop
+    count of each pair, both shape (block, n). The graph must be connected."""
+    b, n = len(sources), adj.shape[0]
+    row_starts = np.arange(b) * n
 
-    `rows` holds the sources' rows of the distance matrix.
-    """
-    b, n = rows.shape
-    level = rows.ravel()
-    # Flat pair indices grouped by level, ascending (so row-major) within a level.
-    order = np.argsort(level, kind="stable")
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(level))))
-    pairs = [order[bounds[d]:bounds[d + 1]] for d in range(len(bounds) - 1)]
-    row_starts = np.arange(b + 1) * n
+    def spread(at: np.ndarray, values: np.ndarray):
+        """Sum `values` over the adjacency of the flat pair indices `at`,
+        which are grouped by row; returns the reached pairs, grouped by row,
+        and their sums."""
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(at // n, minlength=b))))
+        reached = csr_matrix((values, at % n, indptr), shape=(b, n)) @ adj
+        flat = np.repeat(row_starts, np.diff(reached.indptr)) + reached.indices
+        return flat, reached.data
 
-    def spread(at: np.ndarray, values: np.ndarray, d: int):
-        """Sum `values` over the adjacency of the pairs `at`, kept where the
-        level is d."""
-        frontier = csr_matrix(
-            (values, at % n, np.searchsorted(at, row_starts)), shape=(b, n)
-        )
-        reached = frontier @ adj
-        flat = np.repeat(row_starts[:-1], np.diff(reached.indptr)) + reached.indices
-        keep = level[flat] == d
-        return flat[keep], reached.data[keep]
-
+    level = np.full(b * n, -1, dtype=np.int32)
     sigma = np.zeros(b * n, dtype=np.float64)
-    sigma[np.arange(b) * n + sources] = 1.0
-    for d in range(1, len(pairs)):
-        at = pairs[d - 1]
-        idx, values = spread(at, sigma[at], d)
-        sigma[idx] = values
+    at = row_starts + sources
+    level[at] = 0
+    sigma[at] = 1.0
+    pairs = [at]  # flat pair indices of each level, grouped by row
+    found = b
+    while found < b * n:
+        flat, values = spread(at, sigma[at])
+        keep = level[flat] < 0
+        at = flat[keep]
+        level[at] = len(pairs)
+        sigma[at] = values[keep]
+        pairs.append(at)
+        found += at.size
     psi = np.zeros(b * n, dtype=np.float64)
     for d in range(len(pairs) - 2, -1, -1):
         at = pairs[d + 1]
-        idx, values = spread(at, 1.0 + psi[at], d)
-        psi[idx] = values
-    return (sigma * psi).reshape(b, n)
+        flat, values = spread(at, 1.0 + psi[at])
+        keep = level[flat] == d
+        psi[flat[keep]] = values[keep]
+    return (sigma * psi).reshape(b, n), level.reshape(b, n)
+
+
+# Peak bytes per point while `gen_rgg` finds its candidate pairs: the
+# float64 points (16) and six n-sized 8-byte arrays (the sort order, the
+# sorted x and its shifted copy, the window ends, a range and the counts).
+_RGG_POINT_BYTES = 64
+# Peak bytes per candidate pair, while the differences are taken: the two
+# int64 node ids, the two gathered float64 points and their difference.
+_RGG_PAIR_BYTES = 64
 
 
 def gen_rgg(n: int, radius: float, seed: int) -> GeoGraph:
@@ -480,6 +504,14 @@ def gen_rgg(n: int, radius: float, seed: int) -> GeoGraph:
     largest component is returned (relabelled, original coordinates kept) and
     the number of dropped points is recorded on the result.
 
+    The pairs are found by a sweep over the points sorted by x: the
+    candidates of a point are the later points whose x lies within the
+    radius (plus a rounding margin), and a candidate pair is an edge when its
+    squared length, computed as `einsum` of the difference with itself, is
+    at most radius**2. Memory grows with n plus the number of candidate
+    pairs, never with n x n. Raises ValueError, before allocating them, when
+    the points or the candidate pairs would not fit in physical memory.
+
     Args:
         n: number of points, at least 2.
         radius: connection radius, in (0, sqrt(2)].
@@ -489,14 +521,25 @@ def gen_rgg(n: int, radius: float, seed: int) -> GeoGraph:
         raise GraphValidityError("gen_rgg needs n >= 2")
     if not (0.0 < radius <= float(np.sqrt(2.0))):
         raise GraphValidityError("gen_rgg needs 0 < radius <= sqrt(2)")
+    _ensure_fits(f"drawing {n} points", n * _RGG_POINT_BYTES)
     rng = np.random.default_rng(seed)
     pts = rng.random((n, 2))
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-    close = dist2 <= radius * radius
-    ii, jj = np.nonzero(np.triu(close, k=1))
-    del diff, dist2, close  # free the n x n temporaries before the graph is built
-    g = Graph(n, np.stack((ii, jj), axis=1))
+    order = np.argsort(pts[:, 0], kind="stable")
+    xs = pts[order, 0]
+    # The margin covers the rounding of the squared length and of the sum:
+    # every pair the exact rule below keeps lies inside its window.
+    end = np.searchsorted(xs, xs + (radius * (1 + 1e-9) + 1e-12), side="right")
+    count = end - np.arange(1, n + 1)  # candidates after each point, in x order
+    pairs = int(count.sum())
+    _ensure_fits(f"testing {pairs} candidate pairs", pairs * _RGG_PAIR_BYTES)
+    first = np.repeat(np.arange(n), count)
+    offset = np.arange(pairs) - np.repeat(np.cumsum(count) - count, count)
+    ii, jj = order[first], order[first + 1 + offset]
+    del first, offset
+    diff = pts[ii] - pts[jj]
+    close = np.einsum("ij,ij->i", diff, diff) <= radius * radius
+    g = Graph(n, np.stack((ii[close], jj[close]), axis=1))
+    del ii, jj, diff, close  # free the pair arrays before the graph is used
     if g.is_connected():
         return GeoGraph(graph=g, positions=pts, discarded=0)
 
@@ -508,6 +551,17 @@ def gen_rgg(n: int, radius: float, seed: int) -> GeoGraph:
     ends = relabel[g.edge_array]
     sub = Graph(len(keep), ends[(ends >= 0).all(axis=1)])
     return GeoGraph(graph=sub, positions=pts[keep], discarded=n - len(keep))
+
+
+def _ensure_fits(what: str, need: int) -> None:
+    """Raise ValueError when `need` bytes, for `what`, exceed physical
+    memory; pass where the platform cannot say how much there is."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return
+    if need > memory:
+        raise ValueError(f"{what} needs {need} bytes, more than the {memory} bytes of physical memory")
 
 
 def _largest_component(g: Graph) -> list[int]:

@@ -22,12 +22,11 @@ one breadth-first search per node.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import _ROW_BLOCK, Graph
+from .graph import _ROW_BLOCK, Graph, _ensure_fits
 from .graph import bfs_layers  # noqa: F401  perfbench/tracing.py wraps observer.bfs_layers by name
 from .policy import DensityMap
 
@@ -115,13 +114,7 @@ def simulate_walk(g: Graph, s: int, h: int, steps: int, seed: int) -> WalkTrace:
     """
     if steps < 1:
         raise ValueError("walk needs at least one step")
-    need = steps * _TRACE_BYTES_PER_STEP
-    memory = _physical_memory()
-    if memory is not None and need > memory:
-        raise ValueError(
-            f"a walk of {steps} steps needs {need} bytes for its trace, "
-            f"more than the {memory} bytes of physical memory"
-        )
+    _ensure_fits(f"the trace of a walk of {steps} steps", steps * _TRACE_BYTES_PER_STEP)
     g.ensure_connected()
     silenced = g.distance_rows([s])[0] <= h
 
@@ -143,14 +136,6 @@ def simulate_walk(g: Graph, s: int, h: int, steps: int, seed: int) -> WalkTrace:
             append(node)
         nodes[lo:lo + len(walk)] = walk
     return WalkTrace(nodes=nodes, broadcast=~silenced[nodes])
-
-
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where the platform cannot say."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, OSError, ValueError):
-        return None
 
 
 def observed_broadcast_set(trace: WalkTrace) -> set[int]:

@@ -11,7 +11,8 @@ candidate rule with its induced-diameter cap), `posterior_by_bfs` (one
 walk as a tuple of `(t, node, broadcast)` tuples, and the graph
 construction through Python tuples (`TupleGraph`, `build_graph_by_tuples`,
 `parse_edge_list_by_lines`, `line_graph_by_sets`) that the array-native
-`Graph` replaced.
+`Graph` replaced, and `gen_rgg_dense`, the generator through n x n arrays
+that the sweep over x-sorted points replaced.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from privzone import (
+    GeoGraph,
     Graph,
     GraphValidityError,
     InfeasibleError,
@@ -35,6 +37,7 @@ from privzone import (
     induced_diameter,
 )
 from privzone.fileio import ParseError, _data_lines
+from privzone.graph import _largest_component
 
 
 def shortest_path_distances(g: Graph, s: int) -> dict[int, int]:
@@ -398,3 +401,29 @@ def connected_atlas_graphs() -> tuple[Graph, ...]:
         if 2 <= n <= 7 and nx.is_connected(atlas_graph):
             out.append(build_graph([(int(u), int(v)) for u, v in atlas_graph.edges()]))
     return tuple(out)
+
+
+def gen_rgg_dense(n: int, radius: float, seed: int) -> GeoGraph:
+    """`gen_rgg` through the n x n x 2 difference array and the n x n
+    squared lengths: every pair is tested with the same `d2 <= radius**2`
+    rule, so the results must be equal."""
+    if n < 2:
+        raise GraphValidityError("gen_rgg needs n >= 2")
+    if not (0.0 < radius <= float(np.sqrt(2.0))):
+        raise GraphValidityError("gen_rgg needs 0 < radius <= sqrt(2)")
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n, 2))
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist2 = np.einsum("ijk,ijk->ij", diff, diff)
+    ii, jj = np.nonzero(np.triu(dist2 <= radius * radius, k=1))
+    g = Graph(n, np.stack((ii, jj), axis=1))
+    if g.is_connected():
+        return GeoGraph(graph=g, positions=pts, discarded=0)
+    keep = _largest_component(g)
+    if len(keep) < 2:
+        raise GraphValidityError("largest connected component has fewer than 2 nodes")
+    relabel = np.full(n, -1, dtype=np.int64)
+    relabel[keep] = np.arange(len(keep))
+    ends = relabel[g.edge_array]
+    sub = Graph(len(keep), ends[(ends >= 0).all(axis=1)])
+    return GeoGraph(graph=sub, positions=pts[keep], discarded=n - len(keep))

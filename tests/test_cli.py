@@ -315,6 +315,24 @@ class TestHugeNodeIds:
                            "got '0 99999999999999999999'\n")
 
 
+class TestHugeNodeCount:
+    """`--nodes` beyond physical memory is refused before the points are
+    drawn."""
+
+    def test_exit_2(self, tmp_path):
+        huge = ["--nodes", "1000000000000", "--radius", "0.1"]
+        argvs = [
+            ["gen-rgg", *huge, "--seed", "1", "--output", str(tmp_path / "g.txt")],
+            ["experiment", *huge, "--seeds", "1", "--target", "max-betweenness",
+             "--outdir", str(tmp_path / "exp")],
+        ]
+        for argv, (code, err) in zip(argvs, _run_capped(argvs)):
+            assert code == 2, argv
+            assert err.startswith("error: drawing 1000000000000 points needs "), err
+            assert "physical memory" in err and "Traceback" not in err
+        assert not (tmp_path / "g.txt").exists()
+
+
 class TestExperiment:
     def test_single_seed_explicit_node(self, tmp_path, capsys):
         outdir = tmp_path / "exp"

@@ -1,4 +1,6 @@
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from privzone import (
     gen_rgg,
     induced_diameter,
     line_graph,
+    sweep,
 )
 
 from privzone.graph import _largest_component
@@ -25,6 +28,7 @@ from oracles import (
     brandes_per_source,
     build_graph_by_tuples,
     connected_atlas_graphs,
+    gen_rgg_dense,
     line_graph_by_sets,
     naive_betweenness,
     random_connected_graph,
@@ -259,6 +263,69 @@ class TestDistanceRows:
             g.distance_rows([0])
 
 
+class TestBetweennessCachesDistances:
+    """`betweenness` finds the hop counts in its own forward pass and leaves
+    them as the graph's distance matrix."""
+
+    @staticmethod
+    def block_edge_graphs():
+        yield Graph(1, ())
+        for n in (127, 128, 129):
+            path = [(i, i + 1) for i in range(n - 1)]
+            yield build_graph(path)
+            yield build_graph(path + [(n - 1, 0)])
+
+    @staticmethod
+    def check(g: Graph):
+        fresh = Graph(g.node_count, g.edge_array)
+        betweenness(fresh)
+        assert fresh._dist.dtype == np.int32
+        assert np.array_equal(fresh._dist, _rows_by_bfs(g, range(g.node_count)))
+
+    def test_small_graphs(self):
+        for g in (*connected_atlas_graphs(), *self.block_edge_graphs()):
+            self.check(g)
+
+    def test_criterion_9_graph(self):
+        self.check(gen_rgg(1000, 0.1, 424242).graph)
+
+    def test_cached_matrix_kept(self):
+        for g in (*self.block_edge_graphs(), gen_rgg(300, 0.12, 4).graph):
+            fresh = Graph(g.node_count, g.edge_array)
+            expected = betweenness(fresh).tobytes()
+            cached = Graph(g.node_count, g.edge_array)
+            dist = cached.distance_matrix()
+            assert betweenness(cached).tobytes() == expected
+            assert cached._dist is dist
+
+    def test_disconnected_caches_nothing(self):
+        g = build_graph([(0, 1), (2, 3)])
+        with pytest.raises(GraphValidityError, match="disconnected"):
+            betweenness(g)
+        assert g._dist is None
+
+    def test_concurrent_with_sweep(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, to interleave the lazy caches
+        try:
+            for seed in range(1, 6):
+                base = gen_rgg(300, 0.12, seed).graph
+                n, edges = base.node_count, base.edge_array
+                serial = Graph(n, edges)
+                expected = (betweenness(serial).tobytes(), sweep(serial, seed))
+                for _ in range(3):
+                    g = Graph(n, edges)
+                    with ThreadPoolExecutor(max_workers=4) as pool:
+                        runs = [(pool.submit(betweenness, g), pool.submit(sweep, g, seed))
+                                for _ in range(2)]
+                        for scores, rows in runs:
+                            got = (scores.result(timeout=60).tobytes(), rows.result(timeout=60))
+                            assert got == expected
+                    assert np.array_equal(g._dist, serial._dist)
+        finally:
+            sys.setswitchinterval(interval)
+
+
 class TestConnectivity:
     def test_witness_is_smallest_node_outside_zeros_component(self):
         assert Graph(5, ((0, 1), (3, 4))).unreachable_from_zero() == 2
@@ -322,6 +389,58 @@ class TestGenRgg:
         assert geo.graph.node_count >= 2
         # kept coordinates are original samples, still inside the unit square
         assert ((geo.positions >= 0) & (geo.positions <= 1)).all()
+
+
+class TestGenRggMatchesDense:
+    """The sweep over x-sorted points against every pair of the n x n
+    arrays: edges, positions and `discarded` must be equal."""
+
+    @staticmethod
+    def check(n, radius, seed):
+        try:
+            dense = gen_rgg_dense(n, radius, seed)
+        except GraphValidityError as exc:  # every point isolated
+            with pytest.raises(GraphValidityError, match=str(exc)):
+                gen_rgg(n, radius, seed)
+            return None
+        fast = gen_rgg(n, radius, seed)
+        assert np.array_equal(fast.graph.edge_array, dense.graph.edge_array)
+        assert fast.graph.node_count == dense.graph.node_count
+        assert np.array_equal(fast.positions, dense.positions)
+        assert fast.discarded == dense.discarded
+        return fast
+
+    def test_random_cases(self):
+        rng = random.Random(8)
+        for _ in range(150):
+            n = rng.randint(2, 400)
+            radius = rng.choice([rng.uniform(0.02, 0.3), rng.uniform(0.3, 1.414)])
+            self.check(n, radius, rng.randrange(10**6))
+
+    def test_disconnected(self):
+        dropped = [self.check(50, 0.08, seed).discarded for seed in range(10)]
+        assert min(dropped) > 0
+
+    def test_radius_near_sqrt2(self):
+        for radius in (float(np.sqrt(2.0)), float(np.nextafter(np.sqrt(2.0), 0)), 1.41, 1.4):
+            for seed in range(5):
+                self.check(60, radius, seed)
+
+    def test_two_nodes(self):
+        for radius in (float(np.sqrt(2.0)), 0.5, 0.1):
+            for seed in range(10):
+                self.check(2, radius, seed)
+
+    def test_3000_nodes(self):
+        self.check(3000, 0.1, 424242)
+        self.check(3000, 0.03, 1)
+
+    def test_beyond_physical_memory_refused(self):
+        with pytest.raises(ValueError, match="^drawing 1000000000000 points needs .* physical memory"):
+            gen_rgg(10**12, 0.1, 1)
+        # the points fit, but about n * n / 2 candidate pairs do not
+        with pytest.raises(ValueError, match="^testing [0-9]+ candidate pairs needs .* physical memory"):
+            gen_rgg(10**6, 1.4, 1)
 
 
 class TestLineGraph:
