@@ -319,8 +319,6 @@ def build_graph(edge_list) -> Graph:
     Duplicate edges (in either orientation) collapse to one. Node count is
     max id + 1. Self-loops and an empty edge list are rejected.
     """
-    if not isinstance(edge_list, np.ndarray):
-        edge_list = [(int(i), int(j)) for i, j in edge_list]
     ends = _edge_array(edge_list)
     if not len(ends):
         raise GraphValidityError("edge list is empty")

@@ -112,6 +112,8 @@ def simulate_walk(g: Graph, s: int, h: int, steps: int, seed: int) -> WalkTrace:
     Deterministic for a fixed seed. Raises ValueError, before allocating
     anything, when the trace would not fit in physical memory.
     """
+    if h < 0:
+        raise ValueError("suppression radius must be >= 0")
     if steps < 1:
         raise ValueError("walk needs at least one step")
     _ensure_fits(f"the trace of a walk of {steps} steps", steps * _TRACE_BYTES_PER_STEP)

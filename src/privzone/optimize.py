@@ -8,8 +8,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .graph import Graph, GraphValidityError, diameter
-from .policy import DensityMap, privacy_density
+from .graph import Graph, GraphValidityError
+from .graph import diameter  # noqa: F401  perfbench/tracing.py wraps optimize.diameter by name
+from .policy import DensityMap, _layer_extrema, privacy_density
 from .policy import analyze  # noqa: F401  perfbench/tracing.py wraps optimize.analyze by name
 
 __all__ = [
@@ -64,53 +65,32 @@ def sweep(g: Graph, s: int, density: DensityMap | None = None) -> list[SweepRow]
     """Privacy and cost of every radius from 0 to the graph diameter inclusive.
 
     Row h describes the policy that silences the ball S_h of radius h around
-    s; it matches `analyze(g, s, h, density)` field for field. Once S_h is
-    the whole graph every node is a candidate. Before that, a silenced node v
-    is a candidate exactly when the farthest silenced node is strictly closer
-    to v than the nearest broadcasting one:
-    max_{w in S_h} d(v, w) < min_{u not in S_h} d(v, u).
-
-    Both sides come from the distance layers of s, each read once from the
-    cached distance matrix: the first is a running max over the layers 0..h,
-    the second a backward running min over the layers beyond h. The
-    suppressed and cost counts are cumulative bincounts of dist[s] and of
-    each edge's nearer endpoint. The whole sweep is O(n^2).
+    s; it matches `analyze(g, s, h, density)` field for field, and its
+    candidates follow the rule of `policy.candidate_set`.
+    `policy._layer_extrema` gives both sides of that rule, and the diameter,
+    for every node and radius at once from the distance rows of all n nodes,
+    which `Graph.distance_rows` slices from a cached matrix (as
+    `betweenness` leaves one) or computes a block at a time, so the sweep
+    keeps nothing n x n. The suppressed and cost counts are cumulative
+    bincounts of dist[s] and of each edge's nearer endpoint. Past the rows,
+    the sweep is O(n^2).
     """
     g.ensure_connected()
-    top = diameter(g)
     g.check_node(s)
     if density is not None and len(density) != g.node_count:
         raise ValueError("density map size does not match the node count")
-    dist = g.distance_matrix()
     n = g.node_count
-    from_s = dist[s]
+    from_s = g.distance_rows([s])[0]
     ecc = int(from_s.max())
+    far, near = _layer_extrema(g, from_s, np.arange(n))
+    top = int(far[:, -1].max())
 
     suppressed = np.cumsum(np.bincount(from_s, minlength=top + 1))
-    ends = g.edge_array
-    nearer = np.minimum(from_s[ends[:, 0]], from_s[ends[:, 1]])
-    cost = np.cumsum(np.bincount(nearer, minlength=top + 1))
-
-    # farthest[d, v]: max of d(v, w) over the layers 0..d of s;
-    # nearest[d, v]: min of d(v, w) over the layers d..ecc.
-    layers = np.split(np.argsort(from_s), np.cumsum(np.bincount(from_s))[:-1])
-    farthest = np.empty((ecc + 1, n), dtype=dist.dtype)
-    nearest = np.empty((ecc + 1, n), dtype=dist.dtype)
-    for d, layer in enumerate(layers):
-        block = dist[layer]
-        block.max(axis=0, out=farthest[d])
-        block.min(axis=0, out=nearest[d])
-        if d:
-            np.maximum(farthest[d], farthest[d - 1], out=farthest[d])
-    for d in range(ecc - 1, -1, -1):
-        np.minimum(nearest[d], nearest[d + 1], out=nearest[d])
+    cost = np.cumsum(np.bincount(from_s[g.edge_array].min(axis=1), minlength=top + 1))
 
     rows = []
     for h in range(top + 1):
-        if h < ecc:
-            members = np.flatnonzero((from_s <= h) & (farthest[h] < nearest[h + 1]))
-        else:
-            members = np.arange(n)
+        members = np.flatnonzero(far[:, h] < near[:, h + 1]) if h < ecc else np.arange(n)
         if density is None:
             privacy = 1.0 / len(members)
         else:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import _ROW_BLOCK, Graph
 from .graph import induced_diameter  # noqa: F401  perfbench/tracing.py wraps policy.induced_diameter by name
 
 __all__ = [
@@ -94,15 +94,11 @@ class PolicyAnalysis:
         }
 
 
-def _check_policy_args(g: Graph, s: int, h: int) -> None:
+def _distances_from(g: Graph, s: int, h: int) -> np.ndarray:
+    """Hop counts from s to every node, once the policy arguments check out."""
     g.check_node(s)
     if h < 0:
         raise ValueError("suppression radius must be >= 0")
-
-
-def _distances_from(g: Graph, s: int, h: int) -> np.ndarray:
-    """Hop counts from s to every node, once the policy arguments check out."""
-    _check_policy_args(g, s, h)
     return g.distance_rows([s])[0]
 
 
@@ -136,18 +132,43 @@ def candidate_set(g: Graph, s: int, h: int) -> set[int]:
     A node v is a candidate iff some ball around v is exactly the silenced
     set S, that is iff the farthest silenced node is strictly closer to v
     than the nearest broadcasting one:
-    max_{w in S} d(v, w) < min_{u not in S} d(v, u). This is the rule
-    `optimize.sweep` applies to every radius at once; here it reads the
-    distance rows of S only, O(|S| n) memory. When the policy silences the
-    whole graph there is no observation, and every node remains a candidate.
+    max_{w in S} d(v, w) < min_{u not in S} d(v, u). Only a silenced node can
+    qualify, so this reads the distance rows of S only, O(|S| n) memory.
+    When the policy silences the whole graph there is no observation, and
+    every node remains a candidate.
     """
-    silenced = _distances_from(g, s, h) <= h
-    if silenced.all():
-        return set(range(g.node_count))
-    sel = np.flatnonzero(silenced)
-    rows = g.distance_rows(sel)
-    ok = rows[:, silenced].max(axis=1) < rows[:, ~silenced].min(axis=1)
-    return set(sel[ok].tolist())
+    return set(_candidates(g, _distances_from(g, s, h), h).tolist())
+
+
+def _candidates(g: Graph, from_s: np.ndarray, h: int) -> np.ndarray:
+    """`candidate_set` as ascending ids, from the distance row of s."""
+    if h >= from_s.max():
+        return np.arange(g.node_count)
+    sel = np.flatnonzero(from_s <= h)
+    far, near = _layer_extrema(g, from_s, sel)
+    return sel[far[:, h] < near[:, h + 1]]
+
+
+def _layer_extrema(g: Graph, from_s: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the candidate rule at every radius, for each of `nodes`.
+
+    `from_s` is the distance row of s. Returns int32 arrays of shape
+    (len(nodes), ecc(s) + 1): far[k, d] is the largest d(nodes[k], w) over
+    the w with from_s[w] <= d, near[k, d] the smallest over layer d, the w
+    with from_s[w] == d. At h < ecc(s), nodes[k] is a candidate exactly
+    when far[k, h] < near[k, h + 1]. Every path out of the ball of radius h
+    crosses layer h + 1, so for a node in the ball that layer holds its
+    nearest broadcasting node; a node v beyond h fails, being closer to
+    layer h + 1 than to s. Each block of rows is grouped by the layers of s.
+    """
+    order = np.argsort(from_s)
+    starts = np.flatnonzero(np.diff(from_s[order], prepend=-1))  # layers 0..ecc(s), none empty
+    far, near = [], []
+    for lo in range(0, len(nodes), _ROW_BLOCK):
+        rows = g.distance_rows(nodes[lo:lo + _ROW_BLOCK])[:, order]
+        far.append(np.maximum.accumulate(np.maximum.reduceat(rows, starts, axis=1), axis=1))
+        near.append(np.minimum.reduceat(rows, starts, axis=1))
+    return np.concatenate(far), np.concatenate(near)
 
 
 def privacy_uniform(candidates) -> float:
@@ -187,13 +208,12 @@ def analyze(g: Graph, s: int, h: int, density: DensityMap | None = None) -> Poli
         count of report-free edges.
     """
     g.ensure_connected()
-    _check_policy_args(g, s, h)
+    from_s = _distances_from(g, s, h)
     if density is not None and len(density) != g.node_count:
         raise ValueError("density map size does not match the node count")
-    silenced = suppressed_set(g, s, h)
-    broadcasting = broadcast_set(g, s, h)
-    candidates = candidate_set(g, s, h)
-    edges_off = excluded_edges(g, s, h)
+    ends = g.edge_array
+    edges_off = ends[from_s[ends].min(axis=1) <= h]
+    candidates = set(_candidates(g, from_s, h).tolist())
     if density is None:
         privacy = privacy_uniform(candidates)
     else:
@@ -201,11 +221,11 @@ def analyze(g: Graph, s: int, h: int, density: DensityMap | None = None) -> Poli
     return PolicyAnalysis(
         private_node=s,
         radius=h,
-        suppressed_nodes=frozenset(silenced),
-        broadcast_nodes=frozenset(broadcasting),
-        boundary=frozenset(boundary_set(g, s, h)),
+        suppressed_nodes=frozenset(np.flatnonzero(from_s <= h).tolist()),
+        broadcast_nodes=frozenset(np.flatnonzero(from_s > h).tolist()),
+        boundary=frozenset(np.flatnonzero(from_s == h + 1).tolist()),
         candidates=frozenset(candidates),
-        excluded_edges=frozenset(edges_off),
+        excluded_edges=frozenset(map(tuple, edges_off.tolist())),
         privacy=privacy,
         cost=len(edges_off),
     )

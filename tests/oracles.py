@@ -4,7 +4,8 @@ Most of it is deliberately naive (explicit enumeration, dict-based BFS) so it
 shares no code path with the library implementations it checks. The rest are
 slower formulations of library functions, kept as references for the faster
 ones: `brandes_per_source` (one BFS per source), `sweep_by_analyze` (one
-`analyze` per radius), `candidate_set_by_layers` (the layer-matching
+`analyze` per radius), `sweep_by_matrix` (the layer extrema read from the
+whole distance matrix), `candidate_set_by_layers` (the layer-matching
 candidate rule with its induced-diameter cap), `posterior_by_bfs` (one
 `bfs_layers` per node) and the walk-trace loops (`walk_steps_by_loop`,
 `trace_csv_by_loop`, `observed_by_loop`, `coverage_by_loop`), which hold a
@@ -35,6 +36,7 @@ from privzone import (
     build_graph,
     diameter,
     induced_diameter,
+    privacy_density,
 )
 from privzone.fileio import ParseError, _data_lines
 from privzone.graph import _largest_component
@@ -164,6 +166,61 @@ def sweep_by_analyze(g: Graph, s: int, density=None) -> list[SweepRow]:
                 candidate_count=len(a.candidates),
                 privacy=a.privacy,
                 cost=a.cost,
+            )
+        )
+    return rows
+
+
+def sweep_by_matrix(g: Graph, s: int, density=None) -> list[SweepRow]:
+    """`privzone.sweep` from the whole cached distance matrix: one max and
+    one min over the rows of each distance layer of s, then running extrema
+    across the layers, all held as (ecc + 1) x n arrays."""
+    g.ensure_connected()
+    top = diameter(g)
+    g.check_node(s)
+    if density is not None and len(density) != g.node_count:
+        raise ValueError("density map size does not match the node count")
+    dist = g.distance_matrix()
+    n = g.node_count
+    from_s = dist[s]
+    ecc = int(from_s.max())
+
+    suppressed = np.cumsum(np.bincount(from_s, minlength=top + 1))
+    ends = g.edge_array
+    nearer = np.minimum(from_s[ends[:, 0]], from_s[ends[:, 1]])
+    cost = np.cumsum(np.bincount(nearer, minlength=top + 1))
+
+    # farthest[d, v]: max of d(v, w) over the layers 0..d of s;
+    # nearest[d, v]: min of d(v, w) over the layers d..ecc.
+    layers = np.split(np.argsort(from_s), np.cumsum(np.bincount(from_s))[:-1])
+    farthest = np.empty((ecc + 1, n), dtype=dist.dtype)
+    nearest = np.empty((ecc + 1, n), dtype=dist.dtype)
+    for d, layer in enumerate(layers):
+        block = dist[layer]
+        block.max(axis=0, out=farthest[d])
+        block.min(axis=0, out=nearest[d])
+        if d:
+            np.maximum(farthest[d], farthest[d - 1], out=farthest[d])
+    for d in range(ecc - 1, -1, -1):
+        np.minimum(nearest[d], nearest[d + 1], out=nearest[d])
+
+    rows = []
+    for h in range(top + 1):
+        if h < ecc:
+            members = np.flatnonzero((from_s <= h) & (farthest[h] < nearest[h + 1]))
+        else:
+            members = np.arange(n)
+        if density is None:
+            privacy = 1.0 / len(members)
+        else:
+            privacy = privacy_density(set(members.tolist()), s, density)
+        rows.append(
+            SweepRow(
+                h=h,
+                suppressed_count=int(suppressed[h]),
+                candidate_count=len(members),
+                privacy=privacy,
+                cost=int(cost[h]),
             )
         )
     return rows

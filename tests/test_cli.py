@@ -199,6 +199,16 @@ class TestSimulate:
         assert "1000000000000 steps needs 9000000000000 bytes" in err
         assert not trace.exists()
 
+    def test_negative_radius_exits_2_before_writing(self, p4_file, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        code = main(
+            ["simulate", "--graph", p4_file, "--source", "1", "--radius", "-1",
+             "--steps", "100", "--seed", "3", "--trace", str(trace)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: suppression radius must be >= 0\n"
+        assert not trace.exists()
+
 
 class TestSimulateInfeasible:
     def test_partial_observation_with_no_matching_policy_exits_4(self, tmp_path, capsys):

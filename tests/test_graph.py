@@ -591,6 +591,17 @@ class TestGraphMatchesTuples:
             with pytest.raises(GraphValidityError, match="must be integers"):
                 Graph(3, edges)
 
+    @pytest.mark.parametrize("edges, match", [
+        ([(0, 1.5), (1, 2)], "must be integers"),
+        ([("0", "1")], "must be integers"),
+        ([(0, 1, 2)], "pairs"),
+    ])
+    def test_build_graph_refuses_what_graph_refuses(self, edges, match):
+        with pytest.raises(GraphValidityError, match=match):
+            Graph(3, edges)
+        with pytest.raises(GraphValidityError, match=match):
+            build_graph(edges)
+
     def test_any_iterable_of_pairs(self):
         ref = Graph(3, ((0, 1), (1, 2)))
         assert Graph(3, {(2, 1), (0, 1)}) == ref

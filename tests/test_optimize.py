@@ -9,6 +9,7 @@ from privzone import (
     Graph,
     GraphValidityError,
     SweepRow,
+    betweenness,
     bfs_layers,
     build_graph,
     diameter,
@@ -19,7 +20,12 @@ from privzone import (
     sweep,
 )
 
-from oracles import connected_atlas_graphs, random_connected_graph, sweep_by_analyze
+from oracles import (
+    connected_atlas_graphs,
+    random_connected_graph,
+    sweep_by_analyze,
+    sweep_by_matrix,
+)
 
 
 class TestSweep:
@@ -105,6 +111,49 @@ class TestSweepMatchesAnalyze:
             sweep(p4, 0, DensityMap(np.ones(3)))
         with pytest.raises(GraphValidityError, match="disconnected"):
             sweep(build_graph([(0, 1), (2, 3)]), 0)
+
+
+class TestSweepMatchesMatrix:
+    """The streamed sweep against `sweep_by_matrix`, the same layer extrema
+    read from the whole distance matrix: exact SweepRow equality, with the
+    uniform prior and with a random density."""
+
+    @staticmethod
+    def _check(g, sources, rng):
+        density = DensityMap(rng.uniform(0.01, 1.0, g.node_count))
+        for s in sources:
+            rows, weighted = sweep(g, s), sweep(g, s, density)
+            assert rows == sweep_by_matrix(g, s), (g.edges, s)
+            assert weighted == sweep_by_matrix(g, s, density), (g.edges, s)
+
+    def test_every_atlas_graph_every_source(self):
+        rng = np.random.default_rng(17)
+        for g in connected_atlas_graphs():
+            self._check(g, range(g.node_count), rng)
+
+    def test_random_graphs(self):
+        rng = random.Random(19)
+        nrng = np.random.default_rng(19)
+        for _ in range(12):
+            n = rng.randint(60, 300)
+            g = random_connected_graph(n, rng.choice([1.0, 3.0, 8.0]) / n, rng)
+            self._check(g, rng.sample(range(n), 2), nrng)
+
+    def test_criterion_9_graph_cached_and_fresh(self):
+        # betweenness caches its distance levels as the matrix, which the
+        # sweep then slices; on a fresh graph it streams the rows instead
+        cached = gen_rgg(1000, 0.1, 424242).graph
+        scores = betweenness(cached)
+        targets = [int(np.argmax(scores)), int(np.argmin(scores))]
+        self._check(cached, targets, np.random.default_rng(23))
+        for s in targets:
+            self._check(gen_rgg(1000, 0.1, 424242).graph, [s], np.random.default_rng(s))
+
+    def test_fresh_graph_keeps_no_matrix(self):
+        g = gen_rgg(300, 0.12, 1).graph
+        sweep(g, 0)
+        assert g._dist is None
+
 
 
 class TestSolveTradeoff:

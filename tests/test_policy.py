@@ -6,6 +6,7 @@ import pytest
 from privzone import (
     AsymmetricPolicy,
     DensityMap,
+    Graph,
     analyze,
     asymmetric_privacy,
     bfs_layers,
@@ -20,6 +21,7 @@ from privzone import (
     privacy_density,
     privacy_uniform,
     suppressed_set,
+    sweep,
 )
 
 from oracles import candidate_set_by_layers, connected_atlas_graphs, random_connected_graph
@@ -108,16 +110,19 @@ class TestCandidateSet:
 class TestCandidateSetMatchesOracles:
     """`candidate_set` keeps v when max_{w in S} d(v, w) < min_{u not in S}
     d(v, u); the layer-matching rule it replaced and the brute-force
-    posterior judge it."""
+    posterior judge it. `sweep` and `analyze` apply the same rule through
+    the same code, so the layer rule judges the sweep's candidate counts too."""
 
     def test_layer_rule_on_every_atlas_instance(self):
         instances = 0
         for g in connected_atlas_graphs():
             ecc = g.distance_matrix().max(axis=1)
             for s in range(g.node_count):
+                rows = sweep(g, s)
                 for h in range(int(ecc[s]) + 2):
-                    assert candidate_set(g, s, h) == candidate_set_by_layers(g, s, h), (
-                        g.edges, s, h)
+                    want = candidate_set_by_layers(g, s, h)
+                    assert candidate_set(g, s, h) == want, (g.edges, s, h)
+                    assert h >= len(rows) or rows[h].candidate_count == len(want), (g.edges, s, h)
                     instances += 1
         assert instances == 29075
 
@@ -132,9 +137,12 @@ class TestCandidateSetMatchesOracles:
         for g in graphs:
             ecc = g.distance_matrix().max(axis=1)
             for s in rng.sample(range(g.node_count), 6):
+                rows = sweep(g, s)
                 for h in range(int(ecc[s]) + 2):
                     cands = candidate_set(g, s, h)
-                    assert cands == candidate_set_by_layers(g, s, h), (g.node_count, s, h)
+                    want = candidate_set_by_layers(g, s, h)
+                    assert cands == want, (g.node_count, s, h)
+                    assert h >= len(rows) or rows[h].candidate_count == len(want), (g.node_count, s, h)
                     proper += 1 < len(cands) < g.node_count
         assert proper >= 100  # not only the pinned and the all-silent cases
 
@@ -227,6 +235,18 @@ class TestAnalyze:
         assert a.candidates == {0, 1}
         assert a.privacy == 0.5
         assert a.cost == 3
+
+    def test_reads_the_row_of_s_then_the_rows_of_the_ball(self, p4, monkeypatch):
+        calls = []
+        rows = Graph.distance_rows
+
+        def counted(g, sources):
+            calls.append(list(sources))
+            return rows(g, sources)
+
+        monkeypatch.setattr(Graph, "distance_rows", counted)
+        analyze(p4, 1, 1)
+        assert calls == [[1], [0, 1, 2]]
 
     def test_p4_radius_zero(self, p4):
         a = analyze(p4, 1, 0)
