@@ -4,8 +4,8 @@ For every seed a graph is generated, the target node is located (by
 betweenness rank or given explicitly), and a full radius sweep is written to
 `seed_<seed>.csv`. After all seeds finish, `averaged.csv` holds per-radius
 means across seeds, truncated at the shortest sweep. Averages are computed
-from the values as written to the per-seed files, so the CSVs are the single
-source of truth.
+from the per-seed CSV text, the values as written to the files, so the CSVs
+are the single source of truth.
 """
 
 from __future__ import annotations
@@ -78,7 +78,8 @@ def worker_cap(n_tasks: int) -> int:
     return max(1, min(cap, n_tasks))
 
 
-def _run_seed(config: ExperimentConfig, seed: int) -> tuple[int, str, int, int]:
+def _run_seed(config: ExperimentConfig, seed: int) -> tuple[str, int, int]:
+    """One seed's sweep CSV text, target node and discarded point count."""
     geo = gen_rgg(config.n, config.radius, seed)
     g = geo.graph
     if isinstance(config.target, int):
@@ -94,7 +95,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> tuple[int, str, int, int]:
     if config.density_path is not None:
         density = fileio.parse_density(fileio.read_text(config.density_path), g.node_count)
     rows = sweep(g, target, density)
-    return seed, fileio.format_sweep_csv(rows), target, geo.discarded
+    return fileio.format_sweep_csv(rows), target, geo.discarded
 
 
 def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
@@ -102,30 +103,24 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     workers = worker_cap(len(config.seeds))
-    results: dict[int, tuple[str, int, int]] = {}
-    if workers == 1 or len(config.seeds) == 1:
-        for seed in config.seeds:
-            seed, csv_text, target, discarded = _run_seed(config, seed)
-            results[seed] = (csv_text, target, discarded)
+    tasks = ([config] * len(config.seeds), config.seeds)
+    if workers == 1:
+        results = list(map(_run_seed, *tasks))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for seed, csv_text, target, discarded in pool.map(
-                _run_seed, [config] * len(config.seeds), config.seeds
-            ):
-                results[seed] = (csv_text, target, discarded)
+            results = list(pool.map(_run_seed, *tasks))
 
     seed_files: dict[int, Path] = {}
     target_nodes: dict[int, int] = {}
     discarded: dict[int, int] = {}
     per_seed_rows = []
-    for seed in config.seeds:
-        csv_text, target, dropped = results[seed]
+    for seed, (csv_text, target, dropped) in zip(config.seeds, results):
         path = outdir / f"seed_{seed}.csv"
         path.write_text(csv_text, encoding="utf-8")
         seed_files[seed] = path
         target_nodes[seed] = target
         discarded[seed] = dropped
-        per_seed_rows.append(fileio.parse_sweep_csv(path.read_text(encoding="utf-8")))
+        per_seed_rows.append(fileio.parse_sweep_csv(csv_text))
 
     common = min(len(rows) for rows in per_seed_rows)
     mean_rows = []

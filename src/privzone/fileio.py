@@ -305,8 +305,6 @@ def format_line_graph_mapping(mapping: tuple[tuple[int, int], ...]) -> str:
 
 
 def format_json(payload: dict | PolicyAnalysis | Solution) -> str:
-    if isinstance(payload, PolicyAnalysis):
-        payload = payload.to_json_dict()
-    elif isinstance(payload, Solution):
+    if isinstance(payload, (PolicyAnalysis, Solution)):
         payload = payload.to_json_dict()
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"

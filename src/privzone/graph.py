@@ -492,6 +492,8 @@ _RGG_POINT_BYTES = 64
 # Peak bytes per candidate pair, while the differences are taken: the two
 # int64 node ids, the two gathered float64 points and their difference.
 _RGG_PAIR_BYTES = 64
+# Peak bytes per dual edge in `line_graph`, `Graph()` included (74 measured).
+_LINE_PAIR_BYTES = 80
 
 
 def gen_rgg(n: int, radius: float, seed: int) -> GeoGraph:
@@ -527,13 +529,7 @@ def gen_rgg(n: int, radius: float, seed: int) -> GeoGraph:
     # The margin covers the rounding of the squared length and of the sum:
     # every pair the exact rule below keeps lies inside its window.
     end = np.searchsorted(xs, xs + (radius * (1 + 1e-9) + 1e-12), side="right")
-    count = end - np.arange(1, n + 1)  # candidates after each point, in x order
-    pairs = int(count.sum())
-    _ensure_fits(f"testing {pairs} candidate pairs", pairs * _RGG_PAIR_BYTES)
-    first = np.repeat(np.arange(n), count)
-    offset = np.arange(pairs) - np.repeat(np.cumsum(count) - count, count)
-    ii, jj = order[first], order[first + 1 + offset]
-    del first, offset
+    ii, jj = _window_pairs(end, order, "testing {} candidate pairs", _RGG_PAIR_BYTES)
     diff = pts[ii] - pts[jj]
     close = np.einsum("ij,ij->i", diff, diff) <= radius * radius
     g = Graph(n, np.stack((ii[close], jj[close]), axis=1))
@@ -549,6 +545,19 @@ def gen_rgg(n: int, radius: float, seed: int) -> GeoGraph:
     ends = relabel[g.edge_array]
     sub = Graph(len(keep), ends[(ends >= 0).all(axis=1)])
     return GeoGraph(graph=sub, positions=pts[keep], discarded=n - len(keep))
+
+
+def _window_pairs(end: np.ndarray, ids: np.ndarray, what: str, pair_bytes: int) -> np.ndarray:
+    """(ids[i], ids[k]) for every pair of positions i < k < end[i], i-major,
+    as a (2, pairs) array. Raises ValueError first when the pairs would not
+    fit in physical memory at `pair_bytes` each; `what` names them, `{}`
+    standing for their count."""
+    count = end - np.arange(1, len(end) + 1)  # positions after i in its window
+    pairs = int(count.sum())
+    _ensure_fits(what.format(pairs), pairs * pair_bytes)
+    first = np.repeat(np.arange(len(end)), count)
+    offset = np.arange(pairs) - np.repeat(np.cumsum(count) - count, count)
+    return ids[np.stack((first, first + 1 + offset))]
 
 
 def _ensure_fits(what: str, need: int) -> None:
@@ -578,21 +587,17 @@ def line_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
     Returns the dual graph and the mapping from dual node id to the original
     edge it represents.
 
-    Two distinct edges share at most one endpoint, so the dual edges are the
-    nonzero entries above the diagonal of B^T B, where B is the sparse
-    node-edge incidence matrix. B has a row only for the nodes that occur in
-    edges, so the cost does not grow with the node count.
+    The 2m edge ends, sorted stably by node, form one group per node holding
+    its edge ids in ascending order; each pair in a group is one dual edge,
+    expanded as `gen_rgg` expands its windows. Nothing is allocated per node
+    id. Raises ValueError first when the dual edges would not fit in memory.
     """
     ends = g.edge_array
     m = len(ends)
     if not m:
         raise GraphValidityError("line graph of an edgeless graph is undefined")
-    ids = _distinct(np.sort(ends, axis=None))
-    incidence = csr_matrix(
-        (np.ones(2 * m, dtype=np.int32), (np.searchsorted(ids, ends).ravel(), np.repeat(np.arange(m), 2))),
-        shape=(ids.size, m),
-    )
-    shared = (incidence.T @ incidence).tocoo()
-    upper = shared.row < shared.col
-    dual = Graph(m, np.stack((shared.row[upper], shared.col[upper]), axis=1))
-    return dual, g.edges
+    edge_of = np.argsort(ends, axis=None, kind="stable")  # edge ends grouped by node
+    node = ends.ravel()[edge_of]
+    end = np.searchsorted(node, node, side="right")
+    pairs = _window_pairs(end, edge_of // 2, "building {} line-graph edges", _LINE_PAIR_BYTES)
+    return Graph(m, pairs.T), g.edges

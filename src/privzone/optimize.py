@@ -10,7 +10,7 @@ import numpy as np
 
 from .graph import Graph, GraphValidityError
 from .graph import diameter  # noqa: F401  perfbench/tracing.py wraps optimize.diameter by name
-from .policy import DensityMap, _layer_extrema, privacy_density
+from .policy import DensityMap, _layer_extrema, _privacy
 from .policy import analyze  # noqa: F401  perfbench/tracing.py wraps optimize.analyze by name
 
 __all__ = [
@@ -91,18 +91,12 @@ def sweep(g: Graph, s: int, density: DensityMap | None = None) -> list[SweepRow]
     rows = []
     for h in range(top + 1):
         members = np.flatnonzero(far[:, h] < near[:, h + 1]) if h < ecc else np.arange(n)
-        if density is None:
-            privacy = 1.0 / len(members)
-        else:
-            # A set of the ascending ids, as candidate_set returns it, so the
-            # density sum runs in the same order as in analyze.
-            privacy = privacy_density(set(members.tolist()), s, density)
         rows.append(
             SweepRow(
                 h=h,
                 suppressed_count=int(suppressed[h]),
                 candidate_count=len(members),
-                privacy=privacy,
+                privacy=_privacy(members, s, density),
                 cost=int(cost[h]),
             )
         )

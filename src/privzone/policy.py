@@ -189,6 +189,16 @@ def privacy_density(candidates, s: int, density: DensityMap) -> float:
     return float(density.rho[s]) / total
 
 
+def _privacy(candidates: np.ndarray, s: int, density: DensityMap | None) -> float:
+    """Posterior on s from the ascending candidate ids, under the uniform
+    prior when `density` is None."""
+    if density is None:
+        return 1.0 / len(candidates)
+    # A set of the ascending ids, as candidate_set returns it, so the density
+    # sum runs in one order wherever it is taken.
+    return privacy_density(set(candidates.tolist()), s, density)
+
+
 def asymmetric_privacy(policy: AsymmetricPolicy) -> float:
     """Observer posterior when the silence set is an arbitrary node set."""
     return 1.0 / len(policy.suppressed_nodes)
@@ -213,19 +223,15 @@ def analyze(g: Graph, s: int, h: int, density: DensityMap | None = None) -> Poli
         raise ValueError("density map size does not match the node count")
     ends = g.edge_array
     edges_off = ends[from_s[ends].min(axis=1) <= h]
-    candidates = set(_candidates(g, from_s, h).tolist())
-    if density is None:
-        privacy = privacy_uniform(candidates)
-    else:
-        privacy = privacy_density(candidates, s, density)
+    candidates = _candidates(g, from_s, h)
     return PolicyAnalysis(
         private_node=s,
         radius=h,
         suppressed_nodes=frozenset(np.flatnonzero(from_s <= h).tolist()),
         broadcast_nodes=frozenset(np.flatnonzero(from_s > h).tolist()),
         boundary=frozenset(np.flatnonzero(from_s == h + 1).tolist()),
-        candidates=frozenset(candidates),
+        candidates=frozenset(candidates.tolist()),
         excluded_edges=frozenset(map(tuple, edges_off.tolist())),
-        privacy=privacy,
+        privacy=_privacy(candidates, s, density),
         cost=len(edges_off),
     )

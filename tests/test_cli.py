@@ -343,6 +343,31 @@ class TestHugeNodeCount:
         assert not (tmp_path / "g.txt").exists()
 
 
+class TestHugeLineGraph:
+    """A dual with more edges than physical memory holds is refused before
+    they are expanded."""
+
+    def test_star_exit_2(self, tmp_path):
+        star = tmp_path / "star.txt"
+        star.write_text("".join(f"0 {leaf}\n" for leaf in range(1, 10**6 + 1)), encoding="utf-8")
+        dual = tmp_path / "dual.txt"
+        [(code, err)] = _run_capped([["line-graph", "--graph", str(star), "--output", str(dual)]])
+        assert code == 2
+        assert err.startswith("error: building 499999500000 line-graph edges needs "), err
+        assert "physical memory" in err and "Traceback" not in err
+        assert not dual.exists()
+
+
+def test_import_loads_neither_scipy_spatial_nor_networkx():
+    # importing scipy.spatial alone costs a few tenths of a second
+    script = ("import sys, privzone, privzone.cli; print(sorted(m for m in sys.modules"
+              " if m.startswith(('scipy.spatial', 'networkx'))))")
+    src = str(Path(privzone.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
 class TestExperiment:
     def test_single_seed_explicit_node(self, tmp_path, capsys):
         outdir = tmp_path / "exp"

@@ -81,6 +81,25 @@ class TestRunExperiment:
         assert serial.averaged_file.read_bytes() == parallel.averaged_file.read_bytes()
         assert serial.target_nodes == parallel.target_nodes
 
+    def test_duplicate_seeds_weigh_twice(self, tmp_path, monkeypatch):
+        config = ExperimentConfig(n=30, radius=0.35, seeds=(2, 5, 2), target="max-betweenness")
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("PRIVZONE_THREADS", threads)
+            runs.append(run_experiment(config, tmp_path / threads))
+        serial, parallel = runs
+        assert serial.averaged_file.read_bytes() == parallel.averaged_file.read_bytes()
+        assert sorted(serial.seed_files) == [2, 5]
+        per_seed = [
+            parse_sweep_csv(serial.seed_files[seed].read_text(encoding="utf-8"))
+            for seed in config.seeds
+        ]
+        averaged = parse_sweep_csv(serial.averaged_file.read_text(encoding="utf-8"))
+        for idx, row in enumerate(averaged):
+            for col in range(1, 5):
+                mean = sum(rows[idx][col] for rows in per_seed) / 3
+                assert row[col] == pytest.approx(mean, rel=1e-11)  # 12 digits written
+
     def test_explicit_target_validated_against_graph(self, tmp_path):
         config = ExperimentConfig(n=10, radius=0.6, seeds=(1,), target=99)
         with pytest.raises(Exception, match="node 99"):

@@ -476,6 +476,13 @@ class TestLineGraph:
             )
             assert mapping == g.edges
 
+    def test_dual_beyond_physical_memory_refused(self):
+        # a star with 10**6 leaves has C(10**6, 2), about 5 * 10**11, dual edges
+        leaves = np.arange(1, 10**6 + 1)
+        star = build_graph(np.stack((np.zeros_like(leaves), leaves), axis=1))
+        with pytest.raises(ValueError, match="^building 499999500000 line-graph edges needs .* physical memory"):
+            line_graph(star)
+
 
 class TestLayerProperties:
     def test_layers_partition_nodes(self):
@@ -664,8 +671,8 @@ class TestHugeNodeIds:
 
 
 class TestLineGraphMatchesSets:
-    """`line_graph` (incidence product) against the set-based dual it
-    replaced (`tests/oracles.py`)."""
+    """`line_graph` (pairs of edge ends grouped by node) against the
+    set-based dual it replaced (`tests/oracles.py`)."""
 
     def check(self, g):
         dual, mapping = line_graph(g)
@@ -688,3 +695,28 @@ class TestLineGraphMatchesSets:
 
     def test_disconnected_and_sparse_ids(self):
         self.check(Graph(9, ((0, 1), (5, 8), (1, 2), (2, 0))))
+
+    def test_hub_with_pendant_paths(self):
+        # a hub of degree 320; every fourth leaf goes on as a path of 3 edges
+        edges, tail = [(0, leaf) for leaf in range(1, 321)], 321
+        for leaf in range(4, 321, 4):
+            edges += [(leaf, tail), (tail, tail + 1), (tail + 1, tail + 2)]
+            tail += 3
+        self.check(build_graph(edges))
+
+    def test_components_and_isolated_edges(self):
+        rng = random.Random(43)
+        for _ in range(20):
+            edges, base = [], 0
+            for _ in range(rng.randint(2, 6)):
+                part = random_connected_graph(rng.randint(2, 25), rng.random() * 0.3, rng)
+                edges += [(base + i, base + j) for i, j in part.edges]
+                base += part.node_count + rng.randint(0, 3)  # ids no edge names
+            for _ in range(rng.randint(1, 5)):  # isolated edges
+                edges.append((base, base + 1))
+                base += 2 + rng.randint(0, 3)
+            rng.shuffle(edges)
+            self.check(Graph(base + 1, edges))
+
+    def test_rgg_1000(self):
+        self.check(gen_rgg(1000, 0.1, 424242).graph)
