@@ -226,9 +226,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except fileio.ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except GraphValidityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GRAPH

@@ -9,6 +9,7 @@ does not mention.
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 
@@ -56,12 +57,10 @@ def read_text(path) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-# The bytes `str.split` splits on in the text `_edge_tokens` reads. It
-# refuses text holding the other ASCII whitespace, \v, \f and \x1c-\x1e, or
-# a \r not followed by \n: `str.splitlines` would end a line there.
-_SPACE = np.zeros(256, dtype=bool)
-_SPACE[[9, 10, 13, 31, 32]] = True
-_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e"
+# The texts `_edge_tokens` hands to np.loadtxt: ASCII digits, signs and
+# whitespace. Any other text goes to `_edge_lines`: loadtxt reads some
+# non-ASCII digits as digits, and some NumPy versions read "2.0" as an int.
+_PLAIN_TEXT = re.compile(r"[0-9+\-\s]*", re.ASCII)
 _INT64_MAX = 2**63 - 1
 
 
@@ -81,33 +80,23 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def _edge_tokens(text: str) -> np.ndarray | None:
-    """The (m, 2) node ids of an edge list, read in one pass, or None when
-    the text is not plainly valid and `_edge_lines` must judge it.
+    """The (m, 2) node ids of an edge list, read by one np.loadtxt over its
+    lines, or None when the text is not plainly valid and `_edge_lines`
+    must judge it.
 
-    Vouches only for ASCII text whose lines end in "\n" or "\r\n", in which
-    every line is blank or two nonnegative integers that fit in int64.
-    `np.array(tokens, int64)` parses each token as `int` does, so a comment
-    line, whose first token starts with "#", is left to `_edge_lines`.
+    Vouches only for nonblank text of ASCII digits, signs and whitespace in
+    which every line is blank or two nonnegative integers that fit in int64.
+    Both paths split lines with `str.splitlines`, which leaves no whitespace
+    inside a line but spaces and tabs, where `str.split` and loadtxt agree;
+    loadtxt reads such a token as `int` does.
     """
-    if not text.isascii() or text.count("\r") != text.count("\r\n"):
-        return None
-    if any(c in text for c in _LINE_BREAKS):
-        return None
-    tokens = text.split()
-    chars = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    space = _SPACE[chars]
-    starts = ~space  # first character of each token
-    starts[1:] &= space[:-1]
-    started = np.cumsum(starts)
-    # per_line[k]: tokens on line k + 1, from the counts at each "\n" and the end.
-    per_line = np.diff(np.concatenate(([0], started[chars == 10], started[-1:])))
-    if not ((per_line == 0) | (per_line == 2)).all():
-        return None
+    if not text.strip() or not _PLAIN_TEXT.fullmatch(text):
+        return None  # blank text would make loadtxt warn of no data
     try:
-        ends = np.array(tokens, dtype=np.int64).reshape(-1, 2)
-    except (ValueError, OverflowError):
+        ends = np.loadtxt(text.splitlines(), dtype=np.int64, ndmin=2, comments=None)
+    except ValueError:
         return None
-    if ends.size and ends.min() < 0:
+    if ends.shape[1] != 2 or ends.min() < 0:
         return None
     return ends
 

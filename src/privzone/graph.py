@@ -122,10 +122,14 @@ class Graph:
 
         Requires a connected graph. Built once by `distance_rows`, unless
         `betweenness` has already left it as a by-product, and cached.
+        Raises ValueError first when n x n int32 would not fit in physical
+        memory.
         """
         if self._dist is None:
             self.ensure_connected()  # before anything n-sized is allocated
-            self._dist = self.distance_rows(np.arange(self.node_count))
+            n = self.node_count
+            _ensure_fits(f"the {n} x {n} distance matrix", n * n * 4)
+            self._dist = self.distance_rows(np.arange(n))
         return self._dist
 
     def distance_rows(self, sources) -> np.ndarray:
@@ -389,6 +393,8 @@ def induced_diameter(g: Graph, nodes) -> int:
 # Sources per block in `betweenness`: each block holds two float64 arrays of
 # block x n path counts and one int32 array of block x n levels.
 _BETWEENNESS_BLOCK = 128
+# Largest n x n int32 level cache `betweenness` keeps (n up to 8192).
+_DIST_CACHE_BYTES = 256 * 2**20
 
 
 def betweenness(g: Graph) -> np.ndarray:
@@ -410,10 +416,11 @@ def betweenness(g: Graph) -> np.ndarray:
     way from 1 + psi at level d+1, masked to the pairs at level d.
 
     The levels are the hop counts, so the search finds the distance matrix
-    as it goes: when the graph has none cached, the rows of every block are
-    kept and cached on `g` once the last block is done (`sweep` and
-    `diameter` then read them). Other readers of distances get them from
-    `Graph.distance_rows`, which is faster when no path counts are wanted.
+    as it goes: when the graph has none cached and n x n int32 fits in
+    256 MB, the rows of every block are kept and cached on `g` once the last
+    block is done (`sweep` and `diameter` then read them). Other readers of
+    distances get them from `Graph.distance_rows`, which is faster when no
+    path counts are wanted.
 
     Every sigma, psi, product and sum is an integer held in float64. While
     they stay below 2**53 (all shortest paths together number about 7e10 on
@@ -423,7 +430,8 @@ def betweenness(g: Graph) -> np.ndarray:
     g.ensure_connected()  # before anything n-sized is allocated
     n = g.node_count
     adj = g.csr()
-    dist = np.empty((n, n), dtype=np.int32) if g._dist is None else None
+    keep = g._dist is None and n * n * 4 <= _DIST_CACHE_BYTES
+    dist = np.empty((n, n), dtype=np.int32) if keep else None
     through = np.zeros(n, dtype=np.float64)  # sum over sources of sigma[v] * psi[v]
     paths_from = np.zeros(n, dtype=np.float64)  # S_v = total shortest paths with source v
     for lo in range(0, n, _BETWEENNESS_BLOCK):

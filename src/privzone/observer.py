@@ -124,16 +124,13 @@ def simulate_walk(g: Graph, s: int, h: int, steps: int, seed: int) -> WalkTrace:
     deg = [len(a) for a in adj]
     nodes = np.empty(steps, dtype=np.int64)
     rng = np.random.default_rng(seed)
-    # Chunked draws give the same stream as one rng.random(steps) call.
-    for lo in range(0, steps, _WALK_CHUNK):
-        draws = rng.random(min(_WALK_CHUNK, steps - lo)).tolist()
+    # One draw for the start, then chunked draws for the moves, give the
+    # same stream as one rng.random(steps) call.
+    node = nodes[0] = int(rng.random() * g.node_count)
+    for lo in range(1, steps, _WALK_CHUNK):
         walk = []
-        if lo == 0:  # draw 0 picks the start, the rest pick neighbors
-            node = int(draws[0] * g.node_count)
-            walk.append(node)
-            draws = draws[1:]
         append = walk.append
-        for x in draws:
+        for x in rng.random(min(_WALK_CHUNK, steps - lo)).tolist():
             node = adj[node][int(x * deg[node])]
             append(node)
         nodes[lo:lo + len(walk)] = walk

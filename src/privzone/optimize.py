@@ -124,19 +124,17 @@ def solve_constrained(
 ) -> Solution:
     """Cheapest radius whose privacy measure is at most xi.
 
-    The cost-minimal feasible radius is selected by scanning the whole sweep
-    (cost is nondecreasing in h, so this coincides with the first feasible
-    radius). If no radius is feasible, falls back to never broadcasting
-    (radius = diameter) with the feasible flag cleared.
+    Cost is nondecreasing in h, so the first feasible radius is the cheapest.
+    If no radius is feasible, falls back to never broadcasting (radius =
+    diameter) with the feasible flag cleared.
     """
     if not (0.0 <= xi <= 1.0):
         raise ValueError("xi must lie in [0, 1]")
     rows = sweep(g, s, density)
-    feasible = [r for r in rows if r.privacy <= xi]
-    if not feasible:
+    best = next((r for r in rows if r.privacy <= xi), None)
+    if best is None:
         last = rows[-1]
         return Solution(h_star=last.h, privacy=last.privacy, cost=last.cost, feasible=False)
-    best = min(feasible, key=lambda r: (r.cost, r.h))
     return Solution(h_star=best.h, privacy=best.privacy, cost=best.cost, feasible=True)
 
 

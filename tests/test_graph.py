@@ -20,6 +20,7 @@ from privzone import (
     sweep,
 )
 
+import privzone.graph as graph_module
 from privzone.graph import _largest_component
 from scipy.sparse.csgraph import dijkstra
 
@@ -303,6 +304,28 @@ class TestBetweennessCachesDistances:
         with pytest.raises(GraphValidityError, match="disconnected"):
             betweenness(g)
         assert g._dist is None
+
+    def test_over_budget_caches_nothing(self, monkeypatch):
+        g = random_connected_graph(200, 0.03, random.Random(11))
+        expected = betweenness(Graph(g.node_count, g.edge_array)).tobytes()
+        monkeypatch.setattr(graph_module, "_DIST_CACHE_BYTES", 200 * 200 * 4 - 1)
+        fresh = Graph(g.node_count, g.edge_array)
+        assert betweenness(fresh).tobytes() == expected
+        assert fresh._dist is None
+        monkeypatch.setattr(graph_module, "_DIST_CACHE_BYTES", 200 * 200 * 4)
+        betweenness(fresh)
+        assert np.array_equal(fresh._dist, _rows_by_bfs(g, range(200)))
+
+    def test_distance_matrix_beyond_physical_memory_refused(self, monkeypatch):
+        # 4 KB pages: n x n int32 at n=200 is 160,000 bytes, 39.06 pages
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 39}
+        monkeypatch.setattr(graph_module.os, "sysconf", pages.__getitem__)
+        g = random_connected_graph(200, 0.03, random.Random(11))
+        with pytest.raises(ValueError, match="the 200 x 200 distance matrix needs 160000 bytes"):
+            g.distance_matrix()
+        assert g._dist is None
+        pages["SC_PHYS_PAGES"] = 40
+        assert g.distance_matrix().shape == (200, 200)
 
     def test_concurrent_with_sweep(self):
         interval = sys.getswitchinterval()

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -72,11 +73,12 @@ INT64_MAX = 2**63 - 1
 
 # Node-id tokens: small ids (so the tuple oracle's graphs stay small), ids
 # `int` reads with a sign, underscores, leading zeros or unicode digits,
-# non-integers, negative ids and ids beyond int64.
+# non-integers (one, 1\u01fe2, that np.loadtxt reads as 4722), negative ids
+# and ids beyond int64.
 _TOKENS = st.sampled_from(
     [str(v) for v in range(13)]
-    + ["+4", "1_0", "007", "-0", "\u0663", "\uff15", "-3", "-10", "x", "0x1", "2.0", "1e1",
-       "#", "1#", "9223372036854775808", "99999999999999999999", "-99999999999999999999"]
+    + ["+4", "1_0", "007", "-0", "\u0663", "\uff15", "1\u01fe2", "-3", "-10", "x", "0x1", "2.0",
+       "1e1", "#", "1#", "9223372036854775808", "99999999999999999999", "-99999999999999999999"]
 )
 _SPACES = st.sampled_from([" ", "  ", "\t", " \t ", "\x1f", "\u2003", "\xa0"])
 _ENDINGS = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\x0c", "\x1e", "\x85", "\u2028"])
@@ -177,15 +179,22 @@ class TestEdgeListMatchesLines:
     def test_cases(self, text):
         assert _outcome(parse_edge_list, text) == _expected(text)
 
-    @pytest.mark.parametrize("text", [CASES[0], *CASES[2:7]])
+    @pytest.mark.parametrize("text", [
+        CASES[0], *CASES[2:5], CASES[6],
+        "0 1\r1 2\n",  # both paths end a line at a bare \r or \x0c
+        "0 1\x0c1 2\n",
+    ])
     def test_array_path_reads_plain_text(self, text):
-        assert _edge_tokens(text) is not None
+        ends = _edge_tokens(text)
+        assert ends is not None and np.array_equal(ends, _edge_lines(text))
 
     @pytest.mark.parametrize("text", [
-        CASES[1],  # comment lines: the first token of each starts with "#"
+        CASES[1],  # comment lines: "#" is not a digit, sign or space
         CASES[7],
-        "0 1\r1 2\n",  # a bare \r ends a line for splitlines only
-        "0 1\x0c1 2\n",
+        CASES[5],  # "_" is left to `int`
+        "0 1\n2.0 3\n",
+        "0 1\n1e1 3\n",
+        "0 1\n1\u01fe2 3\n",  # np.loadtxt in NumPy 2.4 reads 1\u01fe2 as 4722
         "0 1\n\u0663 2\n",
         "0 1\u20032\n",
         "0 99999999999999999999\n",
@@ -194,6 +203,13 @@ class TestEdgeListMatchesLines:
     def test_line_scan_judges_unusual_text(self, text):
         assert _edge_tokens(text) is None
         assert _outcome(parse_edge_list, text) == _expected(text)
+
+    @pytest.mark.parametrize("text", ["", "\n\n", " \t\n"])
+    def test_blank_text_has_no_edges_and_no_warning(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match="^edge list contains no edges$"):
+                parse_edge_list(text)
 
     def test_largest_int64_id(self):
         g = parse_edge_list("0 9223372036854775807\n1 2\n")
