@@ -141,6 +141,8 @@ def parse_positions(text: str, node_count: int) -> np.ndarray:
             x, y = float(parts[1]), float(parts[2])
         except ValueError as exc:
             raise ParseError(f"line {lineno}: bad position entry {line!r}") from exc
+        if not (np.isfinite(x) and np.isfinite(y)):
+            raise ParseError(f"line {lineno}: coordinates must be finite, got {line!r}")
         if not (0 <= v < node_count):
             raise ParseError(f"line {lineno}: node {v} outside 0..{node_count - 1}")
         pos[v] = (x, y)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -337,31 +336,17 @@ def build_graph(edge_list) -> Graph:
 
 
 def bfs_layers(g: Graph, source: int) -> DistanceLayers:
-    """Group all nodes by hop distance from `source` via breadth-first search.
+    """Group all nodes by hop distance from `source`: the row of `source` in
+    `Graph.distance_rows`, sorted stably and split where the distance grows.
 
-    Raises GraphValidityError naming an unreachable node if the graph is
-    disconnected.
+    Raises GraphValidityError if the graph is disconnected, naming the
+    smallest node unreachable from node 0 (`Graph.ensure_connected`),
+    whatever the source.
     """
-    g.check_node(source)
-    dist = [-1] * g.node_count
-    dist[source] = 0
-    queue = deque([source])
-    layers: list[list[int]] = [[source]]
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for w in g.adjacency[u]:
-            if dist[w] == -1:
-                dist[w] = du + 1
-                if len(layers) == du + 1:
-                    layers.append([])
-                layers[du + 1].append(w)
-                queue.append(w)
-    if -1 in dist:
-        raise GraphValidityError(
-            f"graph is disconnected: node {dist.index(-1)} is unreachable from node {source}"
-        )
-    return DistanceLayers(source=source, layers=tuple(frozenset(layer) for layer in layers))
+    row = g.distance_rows([source])[0]
+    order = np.argsort(row, kind="stable")
+    layers = np.split(order, np.flatnonzero(np.diff(row[order])) + 1)
+    return DistanceLayers(source=source, layers=tuple(frozenset(layer.tolist()) for layer in layers))
 
 
 def diameter(g: Graph) -> int:
@@ -372,7 +357,8 @@ def diameter(g: Graph) -> int:
 def induced_diameter(g: Graph, nodes) -> int:
     """Diameter of the subgraph induced by `nodes`, using distances inside the subgraph.
 
-    The induced subgraph must be nonempty and connected.
+    The induced subgraph must be nonempty and connected. It is built as a
+    `Graph` on the sorted nodes, from the edges with both ends among them.
     """
     node_set = set(nodes)
     if not node_set:
@@ -380,14 +366,15 @@ def induced_diameter(g: Graph, nodes) -> int:
     for v in node_set:
         g.check_node(v)
     sel = np.fromiter(sorted(node_set), dtype=np.int64)
-    sub = g.csr()[sel][:, sel]
-    dist = dijkstra(sub, directed=False, unweighted=True)
-    if np.isinf(dist).any():
-        i, j = np.argwhere(np.isinf(dist))[0]
+    at = np.searchsorted(sel, g.edge_array)
+    inside = (sel[np.minimum(at, len(sel) - 1)] == g.edge_array).all(axis=1)
+    sub = Graph(len(sel), at[inside])
+    witness = sub.unreachable_from_zero()
+    if witness is not None:
         raise GraphValidityError(
-            f"induced subgraph is disconnected: node {int(sel[j])} is unreachable from node {int(sel[i])}"
+            f"induced subgraph is disconnected: node {int(sel[witness])} is unreachable from node {int(sel[0])}"
         )
-    return int(dist.max())
+    return diameter(sub)
 
 
 # Sources per block in `betweenness`: each block holds two float64 arrays of

@@ -28,7 +28,7 @@ import numpy as np
 
 from .graph import _ROW_BLOCK, Graph, _ensure_fits
 from .graph import bfs_layers  # noqa: F401  perfbench/tracing.py wraps observer.bfs_layers by name
-from .policy import DensityMap
+from .policy import DensityMap, _check_density
 
 __all__ = [
     "InfeasibleError",
@@ -164,8 +164,7 @@ def posterior_bruteforce(
     g.ensure_connected()
     for v in observed:
         g.check_node(v)
-    if density is not None and len(density) != g.node_count:
-        raise ValueError("density map size does not match the node count")
+    _check_density(g, density)
 
     n = g.node_count
     heard = np.zeros(n, dtype=bool)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .graph import Graph, GraphValidityError
 from .graph import diameter  # noqa: F401  perfbench/tracing.py wraps optimize.diameter by name
-from .policy import DensityMap, _layer_extrema, _privacy
+from .policy import DensityMap, _check_density, _layer_extrema, _privacy
 from .policy import analyze  # noqa: F401  perfbench/tracing.py wraps optimize.analyze by name
 
 __all__ = [
@@ -77,8 +77,7 @@ def sweep(g: Graph, s: int, density: DensityMap | None = None) -> list[SweepRow]
     """
     g.ensure_connected()
     g.check_node(s)
-    if density is not None and len(density) != g.node_count:
-        raise ValueError("density map size does not match the node count")
+    _check_density(g, density)
     n = g.node_count
     from_s = g.distance_rows([s])[0]
     ecc = int(from_s.max())
@@ -107,8 +106,8 @@ def solve_tradeoff(
     g: Graph, s: int, gamma: float, density: DensityMap | None = None
 ) -> Solution:
     """Radius minimizing privacy + gamma * cost; ties go to the smallest radius."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < np.inf:
+        raise ValueError("gamma must be positive and finite")
     rows = sweep(g, s, density)
     best = min(rows, key=lambda r: (r.privacy + gamma * r.cost, r.h))
     return Solution(
@@ -152,8 +151,8 @@ def solve_asymmetric_exhaustive(
     """
     g.ensure_connected()
     g.check_node(s)
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < np.inf:
+        raise ValueError("gamma must be positive and finite")
     n = g.node_count
     if n > ASYMMETRIC_NODE_CAP:
         raise GraphValidityError(

@@ -102,6 +102,11 @@ def _distances_from(g: Graph, s: int, h: int) -> np.ndarray:
     return g.distance_rows([s])[0]
 
 
+def _check_density(g: Graph, density: DensityMap | None) -> None:
+    if density is not None and len(density) != g.node_count:
+        raise ValueError("density map size does not match the node count")
+
+
 def suppressed_set(g: Graph, s: int, h: int) -> set[int]:
     """Nodes within h hops of s (the closed ball where the agent is silent)."""
     return set(np.flatnonzero(_distances_from(g, s, h) <= h).tolist())
@@ -219,8 +224,7 @@ def analyze(g: Graph, s: int, h: int, density: DensityMap | None = None) -> Poli
     """
     g.ensure_connected()
     from_s = _distances_from(g, s, h)
-    if density is not None and len(density) != g.node_count:
-        raise ValueError("density map size does not match the node count")
+    _check_density(g, density)
     ends = g.edge_array
     edges_off = ends[from_s[ends].min(axis=1) <= h]
     candidates = _candidates(g, from_s, h)

@@ -6,8 +6,10 @@ slower formulations of library functions, kept as references for the faster
 ones: `brandes_per_source` (one BFS per source), `sweep_by_analyze` (one
 `analyze` per radius), `sweep_by_matrix` (the layer extrema read from the
 whole distance matrix), `candidate_set_by_layers` (the layer-matching
-candidate rule with its induced-diameter cap), `posterior_by_bfs` (one
-`bfs_layers` per node) and the walk-trace loops (`walk_steps_by_loop`,
+candidate rule with its induced-diameter cap), `bfs_layers_by_queue` (the
+queue breadth-first search that `privzone.bfs_layers` replaced with a
+grouping of one `Graph.distance_rows` row), `posterior_by_bfs` (one
+`bfs_layers_by_queue` per node) and the walk-trace loops (`walk_steps_by_loop`,
 `trace_csv_by_loop`, `observed_by_loop`, `coverage_by_loop`), which hold a
 walk as a tuple of `(t, node, broadcast)` tuples, and the graph
 construction through Python tuples (`TupleGraph`, `build_graph_by_tuples`,
@@ -25,6 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from privzone import (
+    DistanceLayers,
     GeoGraph,
     Graph,
     GraphValidityError,
@@ -32,7 +35,6 @@ from privzone import (
     Posterior,
     SweepRow,
     analyze,
-    bfs_layers,
     build_graph,
     diameter,
     induced_diameter,
@@ -52,6 +54,34 @@ def shortest_path_distances(g: Graph, s: int) -> dict[int, int]:
                 dist[w] = dist[u] + 1
                 queue.append(w)
     return dist
+
+
+def bfs_layers_by_queue(g: Graph, source: int) -> DistanceLayers:
+    """Group all nodes by hop distance from `source` via breadth-first search.
+
+    Raises GraphValidityError naming an unreachable node if the graph is
+    disconnected.
+    """
+    g.check_node(source)
+    dist = [-1] * g.node_count
+    dist[source] = 0
+    queue = deque([source])
+    layers: list[list[int]] = [[source]]
+    while queue:
+        u = queue.popleft()
+        du = dist[u]
+        for w in g.adjacency[u]:
+            if dist[w] == -1:
+                dist[w] = du + 1
+                if len(layers) == du + 1:
+                    layers.append([])
+                layers[du + 1].append(w)
+                queue.append(w)
+    if -1 in dist:
+        raise GraphValidityError(
+            f"graph is disconnected: node {dist.index(-1)} is unreachable from node {source}"
+        )
+    return DistanceLayers(source=source, layers=tuple(frozenset(layer) for layer in layers))
 
 
 def enumerate_shortest_paths(g: Graph, s: int, t: int) -> list[tuple[int, ...]]:
@@ -257,7 +287,7 @@ def candidate_set_by_layers(g: Graph, s: int, h: int) -> set[int]:
 
 
 def posterior_by_bfs(g: Graph, observed: set[int], density=None) -> Posterior:
-    """`privzone.posterior_bruteforce` as one `bfs_layers` per node of the
+    """`privzone.posterior_bruteforce` as one `bfs_layers_by_queue` per node of the
     graph, heard or not, peeling each ball outward radius by radius."""
     g.ensure_connected()
     for v in observed:
@@ -269,7 +299,7 @@ def posterior_by_bfs(g: Graph, observed: set[int], density=None) -> Posterior:
     weights = np.zeros(g.node_count, dtype=np.float64)
     matched = False
     for v in range(g.node_count):
-        layers = bfs_layers(g, v)
+        layers = bfs_layers_by_queue(g, v)
         # Broadcast set for radius r is the union of layers beyond r; peel the
         # ball outward and compare only when the sizes agree.
         outside = g.node_count
@@ -300,7 +330,7 @@ def walk_steps_by_loop(
     if steps < 1:
         raise ValueError("walk needs at least one step")
     g.ensure_connected()
-    layers = bfs_layers(g, s)
+    layers = bfs_layers_by_queue(g, s)
     silenced = np.zeros(g.node_count, dtype=bool)
     for d in range(min(h, layers.eccentricity) + 1):
         for v in layers.layers[d]:

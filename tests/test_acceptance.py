@@ -12,7 +12,6 @@ import numpy as np
 from privzone import (
     DensityMap,
     analyze,
-    bfs_layers,
     boundary_set,
     broadcast_set,
     build_graph,
@@ -34,7 +33,7 @@ from privzone import (
 from privzone.experiment import ExperimentConfig, run_experiment
 from privzone.fileio import parse_sweep_csv
 
-from oracles import connected_atlas_graphs, random_connected_graph
+from oracles import bfs_layers_by_queue, connected_atlas_graphs, random_connected_graph
 
 
 def _report(criterion: str, detail: str) -> None:
@@ -46,7 +45,7 @@ def test_criterion_1_oracle_equivalence_exhaustive():
     instances = 0
     for g in connected_atlas_graphs():
         for s in range(g.node_count):
-            ecc = bfs_layers(g, s).eccentricity
+            ecc = bfs_layers_by_queue(g, s).eccentricity
             for h in range(ecc + 2):
                 observed = broadcast_set(g, s, h)
                 posterior = posterior_bruteforce(g, observed)
@@ -82,7 +81,7 @@ def test_criterion_3_boundary_identity():
     instances = 0
     for g in connected_atlas_graphs():
         for s in range(g.node_count):
-            layers = bfs_layers(g, s)
+            layers = bfs_layers_by_queue(g, s)
             for h in range(layers.eccentricity + 2):
                 expected = (
                     set(layers.layers[h + 1]) if h + 1 <= layers.eccentricity else set()
@@ -93,7 +92,7 @@ def test_criterion_3_boundary_identity():
     for _ in range(25):
         g = random_connected_graph(rng.randint(2, 40), 0.15, rng)
         for s in range(g.node_count):
-            layers = bfs_layers(g, s)
+            layers = bfs_layers_by_queue(g, s)
             for h in range(layers.eccentricity + 1):
                 expected = (
                     set(layers.layers[h + 1]) if h + 1 <= layers.eccentricity else set()
@@ -138,7 +137,7 @@ def test_criterion_5_limit_cases(p4):
         n = g.node_count
         for s in range(n):
             assert analyze(g, s, 0).privacy == 1.0
-            ecc = bfs_layers(g, s).eccentricity
+            ecc = bfs_layers_by_queue(g, s).eccentricity
             assert analyze(g, s, ecc).privacy == 1.0 / n
             assert analyze(g, s, ecc + 1).privacy == 1.0 / n
         s = rng.randrange(n)
@@ -201,7 +200,7 @@ def _directional_checks(
                     posterior = posterior_bruteforce(g, broadcast_set(g, node, h))
                     assert node in posterior.support, (seed, node, h)
                     assert len(posterior.support) == rows[h][2], (seed, node, rows[h])
-            sides.append((rows, h_star, bfs_layers(g, node).eccentricity))
+            sides.append((rows, h_star, bfs_layers_by_queue(g, node).eccentricity))
         (rows_max, h_max, ecc_max), (rows_min, h_min, ecc_min) = sides
         common = min(len(rows_max), len(rows_min))
         if all(rows_max[i][4] >= rows_min[i][4] for i in range(common)):

@@ -104,6 +104,16 @@ class TestOptimize:
         assert payload["feasible"] is False
         assert payload["h_star"] == 3
 
+    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    def test_non_finite_gamma_exit_2(self, p4_file, capsys, gamma):
+        code = main(
+            ["optimize", "--graph", p4_file, "--source", "1", "--problem", "1", "--gamma", gamma]
+        )
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: gamma must be positive and finite\n"
+
     def test_mixed_flags_rejected(self, p4_file, capsys):
         code = main(
             ["optimize", "--graph", p4_file, "--source", "1", "--problem", "2",
@@ -395,6 +405,29 @@ class TestExperiment:
              "--target", "median", "--outdir", str(tmp_path / "x")]
         )
         assert code == 2
+
+
+class TestWriteFailures:
+    """A destination that cannot be written ends with exit 2 and one error
+    line, not a traceback."""
+
+    def test_sweep_output_in_missing_directory(self, p4_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        code = main(["sweep", "--graph", p4_file, "--source", "1", "--output", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
+
+    def test_experiment_outdir_is_a_file(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        code = main(
+            ["experiment", "--nodes", "10", "--radius", "0.5", "--seeds", "1",
+             "--target", "0", "--outdir", str(taken)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(taken) in err and "Traceback" not in err
 
 
 class TestRoundTrip:

@@ -26,6 +26,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from oracles import (
     TupleGraph,
+    bfs_layers_by_queue,
     brandes_per_source,
     build_graph_by_tuples,
     connected_atlas_graphs,
@@ -91,6 +92,36 @@ class TestBfsLayers:
         with pytest.raises(GraphValidityError):
             bfs_layers(p4, 9)
 
+    def test_matches_queue_on_atlas_graphs(self):
+        for g in connected_atlas_graphs():
+            for s in range(g.node_count):
+                assert bfs_layers(g, s) == bfs_layers_by_queue(g, s), (g.edges, s)
+
+    def test_matches_queue_on_random_graphs(self):
+        rng = random.Random(41)
+        for _ in range(6):
+            n = rng.randint(2, 300)
+            g = random_connected_graph(n, rng.uniform(0.5, 4.0) / n, rng)
+            for s in range(g.node_count):
+                assert bfs_layers(g, s) == bfs_layers_by_queue(g, s), (g.edges, s)
+
+    def test_matches_queue_on_criterion_9_graph(self):
+        g = gen_rgg(1000, 0.1, 424242).graph
+        for s in range(0, g.node_count, 97):
+            assert bfs_layers(g, s) == bfs_layers_by_queue(g, s), s
+
+    def test_reads_cached_matrix(self, monkeypatch):
+        g = random_connected_graph(40, 0.1, random.Random(43))
+        g.distance_matrix()
+        monkeypatch.setattr(graph_module, "dijkstra", None)  # any distance search fails
+        for s in range(g.node_count):
+            assert bfs_layers(g, s) == bfs_layers_by_queue(g, s)
+
+    def test_caches_nothing(self):
+        g = random_connected_graph(40, 0.1, random.Random(47))
+        bfs_layers(g, 3)
+        assert g._dist is None
+
 
 class TestDiameter:
     def test_fixtures(self, p4, k4, c6):
@@ -107,7 +138,7 @@ class TestDiameter:
         for _ in range(20):
             g = random_connected_graph(rng.randint(2, 50), 0.1, rng)
             assert diameter(g) == max(
-                bfs_layers(g, s).eccentricity for s in range(g.node_count)
+                bfs_layers_by_queue(g, s).eccentricity for s in range(g.node_count)
             )
 
 
@@ -140,6 +171,29 @@ class TestInducedDiameter:
         g = random_connected_graph(90, 0.05, rng)
         all_nodes = set(range(g.node_count))
         assert induced_diameter(g, all_nodes) == diameter(g)
+
+    def test_matches_networkx_on_random_subsets(self):
+        import networkx as nx
+
+        rng = random.Random(19)
+        disconnected = 0
+        for _ in range(100):
+            g = random_connected_graph(rng.randint(2, 40), rng.uniform(0.02, 0.3), rng)
+            nxg = nx.Graph(g.edges)
+            nxg.add_nodes_from(range(g.node_count))
+            keep = rng.random()
+            sel = sorted(v for v in range(g.node_count) if rng.random() < keep) or [0]
+            sub = nxg.subgraph(sel)
+            if nx.is_connected(sub):
+                assert induced_diameter(g, sel) == nx.diameter(sub), (g.edges, sel)
+                continue
+            disconnected += 1
+            apart = min(set(sel) - nx.node_connected_component(sub, sel[0]))
+            message = f"induced subgraph is disconnected: node {apart} is unreachable from node {sel[0]}"
+            with pytest.raises(GraphValidityError) as info:
+                induced_diameter(g, sel)
+            assert str(info.value) == message, (g.edges, sel)
+        assert disconnected > 10
 
 
 class TestBetweenness:
@@ -212,7 +266,7 @@ class TestBetweennessMatchesPerSource:
 def _rows_by_bfs(g: Graph, sources) -> np.ndarray:
     out = np.empty((len(sources), g.node_count), dtype=np.int32)
     for k, s in enumerate(sources):
-        for d, layer in enumerate(bfs_layers(g, s).layers):
+        for d, layer in enumerate(bfs_layers_by_queue(g, s).layers):
             out[k, list(layer)] = d
     return out
 
@@ -513,15 +567,15 @@ class TestLayerProperties:
         for _ in range(25):
             g = random_connected_graph(rng.randint(2, 50), 0.15, rng)
             for s in range(g.node_count):
-                layers = bfs_layers(g, s)
-                assert set(layers.layers[0]) == {s}
-                seen: set[int] = set()
-                for layer in layers.layers:
-                    assert layer, "no empty layer below the eccentricity"
-                    assert not (seen & layer)
-                    seen |= layer
-                assert seen == set(range(g.node_count))
-                assert sum(len(layer) for layer in layers.layers) == g.node_count
+                for layers in (bfs_layers(g, s), bfs_layers_by_queue(g, s)):
+                    assert set(layers.layers[0]) == {s}
+                    seen: set[int] = set()
+                    for layer in layers.layers:
+                        assert layer, "no empty layer below the eccentricity"
+                        assert not (seen & layer)
+                        seen |= layer
+                    assert seen == set(range(g.node_count))
+                    assert sum(len(layer) for layer in layers.layers) == g.node_count
 
     def test_distances_symmetric_and_match_bfs(self):
         rng = random.Random(37)
@@ -530,7 +584,7 @@ class TestLayerProperties:
             dist = g.distance_matrix()
             assert (dist == dist.T).all()
             for s in range(g.node_count):
-                layers = bfs_layers(g, s)
+                layers = bfs_layers_by_queue(g, s)
                 for d, layer in enumerate(layers.layers):
                     for v in layer:
                         assert dist[s, v] == d

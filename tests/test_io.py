@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from privzone import Graph, analyze, build_graph, gen_rgg, simulate_walk, solve_constrained, sweep
@@ -234,6 +234,17 @@ class TestPositions:
         back = parse_positions(text, geo.graph.node_count)
         assert np.array_equal(back, geo.positions)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_round_trip_is_bit_exact(self, seed):
+        geo = gen_rgg(200, 0.15, seed)
+        back = parse_positions(format_positions(geo), geo.graph.node_count)
+        assert back.dtype == geo.positions.dtype and back.tobytes() == geo.positions.tobytes()
+
+    @pytest.mark.parametrize("line", ["0 inf 0.5", "0 0.5 -inf", "0 nan 0.5", "0 0.5 1e400"])
+    def test_non_finite_coordinate_rejected(self, line):
+        with pytest.raises(ParseError, match="^line 2: coordinates must be finite"):
+            parse_positions(f"1 0.5 0.5\n{line}\n", 2)
+
     def test_missing_node_rejected(self):
         with pytest.raises(ParseError, match="node 1"):
             parse_positions("0 0.5 0.5\n", 2)
@@ -267,6 +278,62 @@ class TestDensity:
     def test_out_of_range_node(self):
         with pytest.raises(ParseError, match="outside"):
             parse_density("7 1.0\n", 3)
+
+
+# Field tokens for position and density texts: node ids, decimals,
+# non-finite spellings, floats beyond float64, the `default` keyword, a
+# comment mark and a word.
+_FIELD_TOKENS = ["0", "1", "2", "-1", "0.5", "1e-3", "nan", "-nan", "inf", "-inf", "Infinity",
+                 "1e400", "-1e400", "default", "#", "x"]
+
+
+@st.composite
+def _field_texts(draw, fields):
+    """A node count of 1 to 3 and a text of mostly `node value...` lines,
+    `fields` values a line, with blank and comment lines and lines with a
+    value too many or too few."""
+    n = draw(st.integers(1, 3))
+    nodes = st.sampled_from([str(v) for v in range(n)] * 6 + ["default"] * 2 + _FIELD_TOKENS)
+    values = st.sampled_from(["0.25", "1.5", "3"] * 6 + _FIELD_TOKENS)
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["entry"] * 8 + ["blank", "comment", "extra", "missing"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  "])))
+        elif kind == "comment":
+            lines.append("# " + draw(st.sampled_from(_FIELD_TOKENS)))
+        else:
+            count = fields + {"entry": 0, "extra": 1, "missing": -1}[kind]
+            lines.append(" ".join([draw(nodes)] + draw(st.lists(values, min_size=count, max_size=count))))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"])), n
+
+
+class TestFieldParsersFuzzed:
+    """`parse_positions` and `parse_density` on generated texts: each text
+    is refused with a ParseError or read as finite values, and no other
+    exception escapes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_field_texts(2))
+    @example(("0 inf 0.5\n", 1))
+    @example(("0 0.5 nan\n", 1))
+    def test_positions_finite_or_parse_error(self, case):
+        text, n = case
+        try:
+            pos = parse_positions(text, n)
+        except ParseError:
+            return
+        assert pos.shape == (n, 2) and np.isfinite(pos).all(), text
+
+    @settings(max_examples=200, deadline=None)
+    @given(_field_texts(1))
+    def test_density_finite_or_parse_error(self, case):
+        text, n = case
+        try:
+            density = parse_density(text, n)
+        except ParseError:
+            return
+        assert density.rho.shape == (n,) and np.isfinite(density.rho).all(), text
 
 
 class TestSweepCsv:

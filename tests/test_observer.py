@@ -10,7 +10,6 @@ from privzone import (
     Posterior,
     WalkTrace,
     analyze,
-    bfs_layers,
     broadcast_set,
     build_graph,
     coverage_step,
@@ -25,6 +24,7 @@ from privzone import (
 from privzone.fileio import format_trace_csv
 
 from oracles import (
+    bfs_layers_by_queue,
     connected_atlas_graphs,
     coverage_by_loop,
     observed_by_loop,
@@ -125,7 +125,7 @@ class TestTraceMatchesLoops:
         # 12 steps: t crosses 9 -> 10
         for g in connected_atlas_graphs():
             for s in range(g.node_count):
-                for h in range(bfs_layers(g, s).eccentricity + 2):  # 0..ecc+1
+                for h in range(bfs_layers_by_queue(g, s).eccentricity + 2):  # 0..ecc+1
                     assert_trace_matches_loops(g, s, h, 12, 7 * s + h)
 
     def test_walk_inference_problems(self, criterion_9_graph):
@@ -222,7 +222,7 @@ def _outcome(fn, g, observed, density):
 
 def _beyond(g, s, h):
     """Broadcast set of radius h around s, from BFS layers."""
-    return set().union(*bfs_layers(g, s).layers[h + 1:])
+    return set().union(*bfs_layers_by_queue(g, s).layers[h + 1:])
 
 
 def assert_matches_bfs(g, observed, density=None):
@@ -237,11 +237,12 @@ def assert_matches_bfs(g, observed, density=None):
 
 class TestPosteriorMatchesBfs:
     """The enumeration over unheard nodes' distance rows against one
-    `bfs_layers` per node (`posterior_by_bfs`)."""
+    `bfs_layers_by_queue` per node (`posterior_by_bfs`)."""
 
-    # Observations are built from BFS layers, not `broadcast_set`, which
-    # would cache the graph's distance matrix: the posteriors must read
-    # their rows from blocked dijkstra calls.
+    # Observations are built from `bfs_layers_by_queue`, not from
+    # `broadcast_set`, which reads the `Graph.distance_rows` under test; the
+    # graphs keep no matrix, so the posteriors read their rows from blocked
+    # dijkstra calls.
 
     def test_every_atlas_graph_source_and_radius(self):
         for atlas_graph in connected_atlas_graphs():
@@ -249,7 +250,7 @@ class TestPosteriorMatchesBfs:
             g = Graph(atlas_graph.node_count, atlas_graph.edges)
             seen = set()
             for s in range(g.node_count):
-                layers = bfs_layers(g, s).layers
+                layers = bfs_layers_by_queue(g, s).layers
                 for h in range(len(layers) + 1):  # 0..ecc+1
                     observed = frozenset().union(*layers[h + 1:])
                     if observed not in seen:

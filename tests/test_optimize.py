@@ -10,7 +10,6 @@ from privzone import (
     GraphValidityError,
     SweepRow,
     betweenness,
-    bfs_layers,
     build_graph,
     diameter,
     gen_rgg,
@@ -21,6 +20,7 @@ from privzone import (
 )
 
 from oracles import (
+    bfs_layers_by_queue,
     connected_atlas_graphs,
     random_connected_graph,
     sweep_by_analyze,
@@ -163,7 +163,7 @@ class TestSolveTradeoff:
 
     def test_small_gamma_means_never_broadcast(self, p4):
         solution = solve_tradeoff(p4, 1, 1e-9)
-        assert solution.h_star >= bfs_layers(p4, 1).eccentricity
+        assert solution.h_star >= bfs_layers_by_queue(p4, 1).eccentricity
         assert solution.privacy == 0.25
 
     def test_p4_medium_gamma(self, p4):
@@ -189,6 +189,12 @@ class TestSolveTradeoff:
     def test_gamma_must_be_positive(self, p4):
         with pytest.raises(ValueError, match="positive"):
             solve_tradeoff(p4, 1, 0.0)
+
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("solve", [solve_tradeoff, solve_asymmetric_exhaustive])
+    def test_gamma_must_be_finite(self, p4, gamma, solve):
+        with pytest.raises(ValueError, match="^gamma must be positive and finite$"):
+            solve(p4, 1, gamma)
 
 
 class TestSolveConstrained:

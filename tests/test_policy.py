@@ -9,7 +9,6 @@ from privzone import (
     Graph,
     analyze,
     asymmetric_privacy,
-    bfs_layers,
     boundary_set,
     broadcast_set,
     build_graph,
@@ -24,7 +23,12 @@ from privzone import (
     sweep,
 )
 
-from oracles import candidate_set_by_layers, connected_atlas_graphs, random_connected_graph
+from oracles import (
+    bfs_layers_by_queue,
+    candidate_set_by_layers,
+    connected_atlas_graphs,
+    random_connected_graph,
+)
 
 
 class TestSuppressedSet:
@@ -316,7 +320,7 @@ class TestPolicyInvariants:
         for _ in range(12):
             g = random_connected_graph(rng.randint(2, 40), 0.15, rng)
             for s in range(g.node_count):
-                layers = bfs_layers(g, s)
+                layers = bfs_layers_by_queue(g, s)
                 for h in range(diameter(g) + 1):
                     expected = (
                         set(layers.layers[h + 1]) if h + 1 <= layers.eccentricity else set()
@@ -331,7 +335,7 @@ class TestPolicyInvariants:
             for s in range(n):
                 assert candidate_set(g, s, 0) == {s}
                 assert analyze(g, s, 0).privacy == 1.0
-                ecc = bfs_layers(g, s).eccentricity
+                ecc = bfs_layers_by_queue(g, s).eccentricity
                 assert analyze(g, s, ecc).privacy == 1.0 / n
 
     def test_candidates_match_bruteforce_oracle_small_exhaustive(self):
@@ -341,7 +345,7 @@ class TestPolicyInvariants:
             if g.node_count > 5:
                 continue
             for s in range(g.node_count):
-                for h in range(bfs_layers(g, s).eccentricity + 2):
+                for h in range(bfs_layers_by_queue(g, s).eccentricity + 2):
                     observed = broadcast_set(g, s, h)
                     posterior = posterior_bruteforce(g, observed)
                     cands = candidate_set(g, s, h)
@@ -356,7 +360,7 @@ class TestPolicyInvariants:
             geo = gen_rgg(n, rng.uniform(0.35, 0.8), seed)
             g = geo.graph
             s = rng.randrange(g.node_count)
-            h = rng.randint(0, bfs_layers(g, s).eccentricity)
+            h = rng.randint(0, bfs_layers_by_queue(g, s).eccentricity)
             posterior = posterior_bruteforce(g, broadcast_set(g, s, h))
             assert candidate_set(g, s, h) == posterior.support
             checked += 1
