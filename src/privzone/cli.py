@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from . import fileio
 from .experiment import ExperimentConfig, run_experiment
@@ -37,11 +36,15 @@ def _load_density(path: str | None, g: Graph):
     return fileio.parse_density(fileio.read_text(path), g.node_count)
 
 
-def _emit(text: str, path: str | None) -> None:
+def _emit(text, path: str | None) -> None:
+    """Write `text`, one string or an iterable of strings written in turn,
+    to `path`, or to stdout when `path` is None."""
+    chunks = (text,) if isinstance(text, str) else text
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
 
 
 def _cmd_analyze(args) -> int:
@@ -109,7 +112,8 @@ def _cmd_line_graph(args) -> int:
 def _cmd_simulate(args) -> int:
     g = _load_graph(args.graph)
     trace = simulate_walk(g, args.source, args.radius, args.steps, args.seed)
-    _emit(fileio.format_trace_csv(trace), args.trace)
+    # Streamed: only one chunk of the trace CSV is held as text at a time.
+    _emit(fileio._trace_csv_chunks(trace), args.trace)
     if args.posterior is not None:
         density = _load_density(args.density, g)
         posterior = posterior_bruteforce(g, observed_broadcast_set(trace), density)

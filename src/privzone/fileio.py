@@ -239,7 +239,7 @@ def format_betweenness_csv(values) -> str:
     return "".join(out)
 
 
-# Rows per chunk in `format_trace_csv` and `format_edge_list`: only one
+# Rows per chunk of the trace CSV and of `format_edge_list`: only one
 # chunk's byte buffer is alive at a time, not one line string per row.
 _ROW_CHUNK = 16384
 
@@ -275,13 +275,18 @@ def _format_rows(columns, sep: str) -> str:
     return buf[keep].tobytes().decode("ascii")
 
 
-def format_trace_csv(trace: WalkTrace) -> str:
-    out = ["t,node,broadcast\n"]
+def _trace_csv_chunks(trace: WalkTrace):
+    """The trace CSV as its header, then one text per `_ROW_CHUNK` steps,
+    each formatted only when asked for, so a writer holds one at a time."""
+    yield "t,node,broadcast\n"
     for lo in range(0, len(trace.nodes), _ROW_CHUNK):
         nodes = trace.nodes[lo:lo + _ROW_CHUNK]
         steps = np.arange(lo, lo + len(nodes))
-        out.append(_format_rows((steps, nodes, trace.broadcast[lo:lo + _ROW_CHUNK]), ","))
-    return "".join(out)
+        yield _format_rows((steps, nodes, trace.broadcast[lo:lo + _ROW_CHUNK]), ",")
+
+
+def format_trace_csv(trace: WalkTrace) -> str:
+    return "".join(_trace_csv_chunks(trace))
 
 
 def format_posterior_csv(posterior: Posterior) -> str:

@@ -2,22 +2,29 @@
 
 `simulate_walk` records the walk as a `WalkTrace` of two arrays, the node
 visited at each time step and whether it broadcast there, about 9 bytes per
-step. The walk itself is one Python loop over the node sequence; the
+step. The walk itself is one list comprehension per chunk of draws; the
 broadcast flags, the observed set and the coverage step are array
 operations on that record.
 
 `posterior_bruteforce` recovers the observer's posterior by direct
 enumeration: a node is a plausible private node exactly when some radius
-around it reproduces the observed broadcast set. It tries every radius of
-every node the observer never heard from (a heard node lies inside every
-ball around itself, so it cannot be the private node), reading each node's
-hop counts from `Graph.distance_rows`. It reads the same distance rows as
-`policy.candidate_set` and `optimize.sweep` but not their rule, which keeps
-a candidate v when max_{w in S} d(v, w) < min_{u not in S} d(v, u): here each
-radius's broadcast set is compared with the observation directly, so the
-two can be checked against each other. The tests hold it equal, bit for
-bit, to `posterior_by_bfs` in `tests/oracles.py`, the same enumeration over
-one breadth-first search per node.
+around it silences exactly the nodes the observer never heard from, the set
+U. A heard node lies inside every ball around itself, so only nodes of U
+qualify, and a ball is connected, so none does when G[U], the subgraph
+induced on U, is disconnected. For v in U only one radius can work: the
+ball of radius r = d(v, heard) - 1 is the largest that misses every heard
+node, and r is also the least distance inside G[U] from v to an exit, a
+node of U with a heard neighbour. That ball is U exactly when v's
+eccentricity inside G[U] is at most r. So the enumeration reads the
+distance rows of G[U] only, through `Graph.distance_rows`: O(|U| m_U) time,
+where m_U counts G[U]'s edges, and one block of 128 rows of |U| hops at a
+time. `policy.candidate_set` and `optimize.sweep` read the rows of the
+whole graph and keep v when max_{w in S} d(v, w) < min_{u not in S}
+d(v, u), the layers of the private node s giving S; here neither s nor its
+layers are known, and the rows and exits are those of G[U], so the two can
+be checked against each other. The tests hold the posterior equal, bit for
+bit, to `posterior_by_bfs` in `tests/oracles.py`, which tries every radius
+of every node over one breadth-first search per node.
 """
 
 from __future__ import annotations
@@ -128,11 +135,8 @@ def simulate_walk(g: Graph, s: int, h: int, steps: int, seed: int) -> WalkTrace:
     # same stream as one rng.random(steps) call.
     node = nodes[0] = int(rng.random() * g.node_count)
     for lo in range(1, steps, _WALK_CHUNK):
-        walk = []
-        append = walk.append
-        for x in rng.random(min(_WALK_CHUNK, steps - lo)).tolist():
-            node = adj[node][int(x * deg[node])]
-            append(node)
+        walk = [node := adj[node][int(x * deg[node])]
+                for x in rng.random(min(_WALK_CHUNK, steps - lo)).tolist()]
         nodes[lo:lo + len(walk)] = walk
     return WalkTrace(nodes=nodes, broadcast=~silenced[nodes])
 
@@ -157,6 +161,10 @@ def posterior_bruteforce(
 
     A node v gets prior weight (density, or 1) iff the broadcast set of some
     radius 0..ecc(v) around v equals `observed`; weights are then normalized.
+    With U the unheard nodes, that holds iff v is in U, G[U] is connected,
+    and v's eccentricity inside G[U] is at most its least distance inside
+    G[U] to a node with a heard neighbour, the one radius whose ball can be
+    U. When nothing is heard, every node qualifies without a distance read.
 
     Raises InfeasibleError when no node qualifies, i.e. the observation cannot
     have come from a symmetric suppression policy on this graph.
@@ -166,34 +174,34 @@ def posterior_bruteforce(
         g.check_node(v)
     _check_density(g, density)
 
-    n = g.node_count
-    heard = np.zeros(n, dtype=bool)
+    heard = np.zeros(g.node_count, dtype=bool)
     heard[list(observed)] = True
-    want = len(observed)
     unheard = np.flatnonzero(~heard)
-    weights = np.zeros(n, dtype=np.float64)
-    matched = False
-    for lo in range(0, len(unheard), _ROW_BLOCK):
-        block = unheard[lo:lo + _ROW_BLOCK]
-        rows = g.distance_rows(block)
-        # layer[k, d] counts the nodes at distance d from block[k]. The
-        # broadcast set of radius r, {u : row[u] > r}, holds the n nodes
-        # less layers 0..r.
-        radii = int(rows.max()) + 1
-        keys = (np.arange(len(block))[:, None] * radii + rows).ravel()
-        layer = np.bincount(keys, minlength=len(block) * radii).reshape(len(block), radii)
-        hit = n - layer.cumsum(axis=1) == want
-        # The sets shrink as r grows, so radii with equal counts have equal
-        # sets: the first radius with the observed count decides.
-        for k in np.flatnonzero(hit.any(axis=1)).tolist():
-            if np.array_equal(rows[k] > int(hit[k].argmax()), heard):
-                matched = True
-                v = int(block[k])
-                weights[v] = 1.0 if density is None else float(density.rho[v])
-    if not matched:
+    plausible = np.zeros(len(unheard), dtype=bool)
+    if not observed:
+        # Every ball of radius ecc(v) is the whole graph: all plausible.
+        plausible[:] = True
+    elif len(unheard):
+        # G[U] on the positions in `unheard`, and its exits: the unheard
+        # nodes with a heard neighbour.
+        ends = g.edge_array
+        side = heard[ends]
+        sub = Graph(len(unheard), np.searchsorted(unheard, ends[~side.any(axis=1)]))
+        near_heard = np.zeros(g.node_count, dtype=bool)
+        near_heard[ends[side[:, ::-1]]] = True
+        exits = np.flatnonzero(near_heard[unheard])
+        # A ball is connected, so a disconnected G[U] is no ball.
+        if sub.is_connected():
+            for lo in range(0, len(unheard), _ROW_BLOCK):
+                rows = sub.distance_rows(np.arange(lo, min(lo + _ROW_BLOCK, len(unheard))))
+                plausible[lo:lo + len(rows)] = rows.max(axis=1) <= rows[:, exits].min(axis=1)
+    if not plausible.any():
         raise InfeasibleError(
             "observed broadcast set is inconsistent with every symmetric policy"
         )
+    weights = np.zeros(g.node_count, dtype=np.float64)
+    chosen = unheard[plausible]
+    weights[chosen] = 1.0 if density is None else density.rho[chosen]
     total = float(weights.sum())
     if total <= 0.0:
         raise ValueError("every plausible private node has zero density; posterior undefined")

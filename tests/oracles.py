@@ -9,12 +9,12 @@ whole distance matrix), `candidate_set_by_layers` (the layer-matching
 candidate rule with its induced-diameter cap), `bfs_layers_by_queue` (the
 queue breadth-first search that `privzone.bfs_layers` replaced with a
 grouping of one `Graph.distance_rows` row), `posterior_by_bfs` (one
-`bfs_layers_by_queue` per node) and the walk-trace loops (`walk_steps_by_loop`,
-`trace_csv_by_loop`, `observed_by_loop`, `coverage_by_loop`), which hold a
-walk as a tuple of `(t, node, broadcast)` tuples, and the graph
-construction through Python tuples (`TupleGraph`, `build_graph_by_tuples`,
-`parse_edge_list_by_lines`, `line_graph_by_sets`) that the array-native
-`Graph` replaced, and `gen_rgg_dense`, the generator through n x n arrays
+`bfs_layers_by_queue` per node, made once per graph) and the walk-trace
+loops (`walk_steps_by_loop`, `trace_csv_by_loop`, `observed_by_loop`,
+`coverage_by_loop`), which hold a walk as a tuple of `(t, node, broadcast)`
+tuples, and the graph construction through Python tuples (`TupleGraph`,
+`build_graph_by_tuples`, `parse_edge_list_by_lines`, `line_graph_by_sets`)
+that the array-native `Graph` replaced, and `gen_rgg_dense`, the generator through n x n arrays
 that the sweep over x-sorted points replaced.
 """
 
@@ -286,9 +286,18 @@ def candidate_set_by_layers(g: Graph, s: int, h: int) -> set[int]:
     return set(sel[ok].tolist())
 
 
+@lru_cache(maxsize=8)
+def _layers_of_every_node(g: Graph) -> tuple[DistanceLayers, ...]:
+    """`bfs_layers_by_queue` from every node of `g`. `Graph` hashes and
+    compares by content, so the observations checked on one graph, or on
+    copies of it, share one search per node."""
+    return tuple(bfs_layers_by_queue(g, v) for v in range(g.node_count))
+
+
 def posterior_by_bfs(g: Graph, observed: set[int], density=None) -> Posterior:
     """`privzone.posterior_bruteforce` as one `bfs_layers_by_queue` per node of the
-    graph, heard or not, peeling each ball outward radius by radius."""
+    graph, heard or not, peeling each ball outward radius by radius. The
+    searches are made once per graph (`_layers_of_every_node`)."""
     g.ensure_connected()
     for v in observed:
         g.check_node(v)
@@ -298,8 +307,7 @@ def posterior_by_bfs(g: Graph, observed: set[int], density=None) -> Posterior:
     want = len(observed)
     weights = np.zeros(g.node_count, dtype=np.float64)
     matched = False
-    for v in range(g.node_count):
-        layers = bfs_layers_by_queue(g, v)
+    for v, layers in enumerate(_layers_of_every_node(g)):
         # Broadcast set for radius r is the union of layers beyond r; peel the
         # ball outward and compare only when the sizes agree.
         outside = g.node_count

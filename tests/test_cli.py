@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import resource
@@ -8,9 +9,11 @@ from pathlib import Path
 import pytest
 
 import privzone
-from privzone import build_graph
+from privzone import build_graph, gen_rgg
 from privzone.cli import main
 from privzone.fileio import format_edge_list, parse_edge_list
+
+from oracles import trace_csv_by_loop, walk_steps_by_loop
 
 
 @pytest.fixture
@@ -195,6 +198,43 @@ class TestSimulate:
         assert lines[0] == "node,mass"
         masses = [float(l.split(",")[1]) for l in lines[1:]]
         assert masses == [0.5, 0.5, 0.0, 0.0]
+
+    # the streamed trace CSV across its chunk boundaries, to a file and to stdout
+    @pytest.mark.parametrize("steps", [1, 16384, 16385, 2 * 16384 + 5])
+    def test_streamed_trace_equals_loop(self, tmp_path, capsys, steps):
+        g = gen_rgg(200, 0.15, 1).graph
+        graph = tmp_path / "g.txt"
+        graph.write_text(format_edge_list(g), encoding="utf-8")
+        want = trace_csv_by_loop(walk_steps_by_loop(g, 5, 2, steps, steps))
+        argv = ["simulate", "--graph", str(graph), "--source", "5", "--radius", "2",
+                "--steps", str(steps), "--seed", str(steps)]
+        trace = tmp_path / "trace.csv"
+        assert main([*argv, "--trace", str(trace)]) == 0
+        assert trace.read_bytes() == want.encode("ascii")
+        assert capsys.readouterr().out == ""
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+
+    def test_trace_is_written_chunk_by_chunk(self, p4_file, monkeypatch):
+        class Writes(io.StringIO):
+            """stdout that records the length of each write."""
+
+            def __init__(self):
+                super().__init__()
+                self.sizes = []
+
+            def write(self, text):
+                self.sizes.append(len(text))
+                return super().write(text)
+
+        out = Writes()
+        monkeypatch.setattr(sys, "stdout", out)
+        steps = 2 * 16384 + 5
+        assert main(["simulate", "--graph", p4_file, "--source", "1", "--radius", "1",
+                     "--steps", str(steps), "--seed", "3"]) == 0
+        # the header, then one write per 16384-step chunk
+        assert len(out.sizes) == 4 and out.sizes[0] == len("t,node,broadcast\n")
+        assert out.getvalue().count("\n") == steps + 1
 
     def test_trace_too_large_for_memory_exits_2(self, p4_file, tmp_path, capsys):
         # refused before any allocation: 10**12 steps need 9 TB of trace

@@ -225,6 +225,32 @@ def _beyond(g, s, h):
     return set().union(*bfs_layers_by_queue(g, s).layers[h + 1:])
 
 
+def _unheard_kind(g, observed):
+    """Which case of the posterior's rule `observed` falls in, from a queue
+    search over the unheard nodes and, last, from `posterior_by_bfs`."""
+    unheard = set(range(g.node_count)) - set(observed)
+    if not observed:
+        return "nothing heard"
+    if not unheard:
+        return "everything heard"
+    if len(unheard) == 1:
+        return "one unheard"
+    start = min(unheard)
+    reached, queue = {start}, [start]
+    while queue:
+        for w in g.adjacency[queue.pop()]:
+            if w in unheard and w not in reached:
+                reached.add(w)
+                queue.append(w)
+    if reached != unheard:
+        return "disconnected"
+    try:
+        posterior_by_bfs(g, observed)
+    except InfeasibleError:
+        return "connected, none plausible"
+    return "connected, some plausible"
+
+
 def assert_matches_bfs(g, observed, density=None):
     """Same masses, bit for bit, or the same exception type and message."""
     got = _outcome(posterior_bruteforce, g, observed, density)
@@ -236,13 +262,13 @@ def assert_matches_bfs(g, observed, density=None):
 
 
 class TestPosteriorMatchesBfs:
-    """The enumeration over unheard nodes' distance rows against one
+    """The rule over the unheard subgraph's distance rows against one
     `bfs_layers_by_queue` per node (`posterior_by_bfs`)."""
 
     # Observations are built from `bfs_layers_by_queue`, not from
-    # `broadcast_set`, which reads the `Graph.distance_rows` under test; the
-    # graphs keep no matrix, so the posteriors read their rows from blocked
-    # dijkstra calls.
+    # `broadcast_set`, which reads the `Graph.distance_rows` under test, or
+    # are random subsets; the graphs keep no matrix, so the posteriors read
+    # their rows from blocked dijkstra calls.
 
     def test_every_atlas_graph_source_and_radius(self):
         for atlas_graph in connected_atlas_graphs():
@@ -281,6 +307,48 @@ class TestPosteriorMatchesBfs:
         for h in (1, 2, 3):
             assert_matches_bfs(g, _beyond(g, 0, h))
         assert g._dist is None
+
+    def test_reads_rows_of_the_unheard_subgraph_only(self, monkeypatch):
+        # the observations of the test above, whose oracle searches
+        # `posterior_by_bfs` still holds for this graph
+        g = gen_rgg(1000, 0.1, 424242).graph
+        sizes = []
+        distance_rows = Graph.distance_rows
+
+        def spy(self, sources):
+            sizes.append(self.node_count)
+            return distance_rows(self, sources)
+
+        for h in (1, 2, 3):
+            observed = _beyond(g, 0, h)
+            sizes.clear()
+            with monkeypatch.context() as m:
+                m.setattr(Graph, "distance_rows", spy)
+                assert_matches_bfs(g, observed)
+            assert sizes and set(sizes) == {g.node_count - len(observed)}, h
+        assert g._dist is None
+
+    def test_random_subsets_with_and_without_density(self):
+        # Observations that are mostly no broadcast set at all, sorted by
+        # the shape of the unheard set U; every kind must occur.
+        rng = random.Random(401)
+        kinds = set()
+        for _ in range(150):
+            g = random_connected_graph(rng.randint(2, 30), rng.uniform(0.02, 0.3), rng)
+            n = g.node_count
+            p = rng.choice((0.0, 0.2, 0.5, 0.8, 1.0))
+            observed = {v for v in range(n) if rng.random() < p}
+            if rng.random() < 0.1:  # exactly one unheard node
+                observed = set(range(n)) - {rng.randrange(n)}
+            kinds.add(_unheard_kind(g, observed))
+            rho = np.array([rng.choice((0.0, rng.uniform(0.1, 5.0))) for _ in range(n)])
+            rho[rng.randrange(n)] = 1.0
+            assert_matches_bfs(g, observed)
+            assert_matches_bfs(g, observed, DensityMap(rho=rho))
+        assert kinds == {
+            "nothing heard", "everything heard", "one unheard",
+            "disconnected", "connected, none plausible", "connected, some plausible",
+        }
 
     def test_nothing_heard_on_a_path_longer_than_two_blocks(self):
         g = build_graph([(i, i + 1) for i in range(299)])
