@@ -122,15 +122,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    if args.target in ("max-betweenness", "min-betweenness"):
-        target: str | int = args.target
-    else:
-        try:
-            target = int(args.target)
-        except ValueError:
-            raise fileio.ParseError(
-                "target must be max-betweenness, min-betweenness, or a node id"
-            ) from None
+    try:
+        target: str | int = int(args.target)
+    except ValueError:
+        target = args.target  # ExperimentConfig rejects any other name
     config = ExperimentConfig(
         n=args.nodes,
         radius=args.radius,

@@ -123,11 +123,8 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
         per_seed_rows.append(fileio.parse_sweep_csv(csv_text))
 
     common = min(len(rows) for rows in per_seed_rows)
-    mean_rows = []
-    for idx in range(common):
-        cols = np.array([rows[idx][1:] for rows in per_seed_rows], dtype=np.float64)
-        sup, cand, privacy, cost = cols.mean(axis=0).tolist()
-        mean_rows.append((per_seed_rows[0][idx][0], sup, cand, privacy, cost))
+    means = np.array([rows[:common] for rows in per_seed_rows]).mean(axis=0)
+    mean_rows = [(h, *row[1:]) for (h, *_), row in zip(per_seed_rows[0], means.tolist())]
     averaged_file = outdir / "averaged.csv"
     averaged_file.write_text(fileio.format_averaged_sweep_csv(mean_rows), encoding="utf-8")
     return ExperimentResult(

@@ -113,7 +113,11 @@ class Graph:
         """Sparse adjacency matrix (cached), in float64, the dtype scipy's
         graph routines and `betweenness`'s products work in."""
         if self._csr is None:
-            self._csr = _symmetric_csr(self._ends, self.node_count)
+            ends, n = self._ends, self.node_count
+            rows = np.concatenate((ends[:, 0], ends[:, 1]))
+            cols = np.concatenate((ends[:, 1], ends[:, 0]))
+            ones = np.ones(len(rows), dtype=np.float64)
+            self._csr = csr_matrix((ones, (rows, cols)), shape=(n, n))
         return self._csr
 
     def distance_matrix(self) -> np.ndarray:
@@ -139,9 +143,10 @@ class Graph:
         exists and caches nothing otherwise: rows are computed for blocks of
         128 sources at a time, so the float64 scratch never exceeds 128 x n.
         """
-        sources = np.asarray(sources, dtype=np.int64)
+        sources = np.asarray(sources)
         for v in (sources.min(), sources.max()) if sources.size else ():
-            self.check_node(int(v))
+            self.check_node(int(v))  # before int64, which would overflow on a huge id
+        sources = sources.astype(np.int64, copy=False)
         dist = self._dist
         if dist is not None:
             return dist[sources]
@@ -166,16 +171,16 @@ class Graph:
 
         Works on the ids that occur in edges, O(m log m) whatever the node
         count: a node with no edge is isolated, and the components of the
-        others come from the graph relabelled to those ids.
+        others come from the subgraph induced on those ids.
         """
         n = self.node_count
         ids = _distinct(np.sort(self._ends, axis=None))
-        if ids.size == n:  # every node has an edge: the relabelling is the identity
+        if ids.size == n:  # every node has an edge: the subgraph is the graph
             adj = self.csr()
         elif ids.size == 0 or ids[0] != 0:  # node 0 is isolated
             return 1
         else:
-            adj = _symmetric_csr(np.searchsorted(ids, self._ends), ids.size)
+            adj = _induced(self, ids).csr()
         _, labels = connected_components(adj, directed=False)
         apart = ids[labels != labels[0]]
         gaps = np.flatnonzero(ids != np.arange(ids.size))
@@ -307,13 +312,20 @@ def _canonical(ends: np.ndarray, node_count: int) -> np.ndarray:
     return np.stack((key // node_count, key % node_count), axis=1)
 
 
-def _symmetric_csr(ends: np.ndarray, node_count: int) -> csr_matrix:
-    """float64 adjacency matrix of the canonical edge array `ends`."""
-    rows = np.concatenate((ends[:, 0], ends[:, 1]))
-    cols = np.concatenate((ends[:, 1], ends[:, 0]))
-    return csr_matrix(
-        (np.ones(len(rows), dtype=np.float64), (rows, cols)), shape=(node_count, node_count)
-    )
+def _induced(g: Graph, nodes: np.ndarray) -> Graph:
+    """The subgraph of `g` induced on the ascending int64 ids `nodes`, with
+    nodes[k] relabelled k.
+
+    One `searchsorted` of the edge ends into `nodes` gives each end its new
+    label, and an edge is kept when both of its ends are found there:
+    O(m log |nodes|), with nothing allocated per node id of `g`. The ends
+    are searched column by column, lower ends first: those are ascending,
+    and NumPy searches ascending keys about twice as fast.
+    """
+    ends = g.edge_array.T
+    at = np.searchsorted(nodes, ends)
+    inside = (nodes[np.minimum(at, len(nodes) - 1)] == ends).all(axis=0)
+    return Graph(len(nodes), at[:, inside].T)
 
 
 def build_graph(edge_list) -> Graph:
@@ -357,8 +369,9 @@ def diameter(g: Graph) -> int:
 def induced_diameter(g: Graph, nodes) -> int:
     """Diameter of the subgraph induced by `nodes`, using distances inside the subgraph.
 
-    The induced subgraph must be nonempty and connected. It is built as a
-    `Graph` on the sorted nodes, from the edges with both ends among them.
+    The induced subgraph must be nonempty and connected. It is built by
+    `_induced` on the sorted nodes, so nothing is allocated per node id of
+    `g`, and its `diameter` reads its own distance matrix.
     """
     node_set = set(nodes)
     if not node_set:
@@ -366,9 +379,7 @@ def induced_diameter(g: Graph, nodes) -> int:
     for v in node_set:
         g.check_node(v)
     sel = np.fromiter(sorted(node_set), dtype=np.int64)
-    at = np.searchsorted(sel, g.edge_array)
-    inside = (sel[np.minimum(at, len(sel) - 1)] == g.edge_array).all(axis=1)
-    sub = Graph(len(sel), at[inside])
+    sub = _induced(g, sel)
     witness = sub.unreachable_from_zero()
     if witness is not None:
         raise GraphValidityError(
@@ -535,10 +546,7 @@ def gen_rgg(n: int, radius: float, seed: int) -> GeoGraph:
     keep = _largest_component(g)
     if len(keep) < 2:
         raise GraphValidityError("largest connected component has fewer than 2 nodes")
-    relabel = np.full(n, -1, dtype=np.int64)
-    relabel[keep] = np.arange(len(keep))
-    ends = relabel[g.edge_array]
-    sub = Graph(len(keep), ends[(ends >= 0).all(axis=1)])
+    sub = _induced(g, np.array(keep, dtype=np.int64))
     return GeoGraph(graph=sub, positions=pts[keep], discarded=n - len(keep))
 
 

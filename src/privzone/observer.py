@@ -14,15 +14,17 @@ qualify, and a ball is connected, so none does when G[U], the subgraph
 induced on U, is disconnected. For v in U only one radius can work: the
 ball of radius r = d(v, heard) - 1 is the largest that misses every heard
 node, and r is also the least distance inside G[U] from v to an exit, a
-node of U with a heard neighbour. That ball is U exactly when v's
-eccentricity inside G[U] is at most r. So the enumeration reads the
-distance rows of G[U] only, through `Graph.distance_rows`: O(|U| m_U) time,
-where m_U counts G[U]'s edges, and one block of 128 rows of |U| hops at a
-time. `policy.candidate_set` and `optimize.sweep` read the rows of the
-whole graph and keep v when max_{w in S} d(v, w) < min_{u not in S}
-d(v, u), the layers of the private node s giving S; here neither s nor its
-layers are known, and the rows and exits are those of G[U], so the two can
-be checked against each other. The tests hold the posterior equal, bit for
+node of U with a heard neighbour, so one whose degree in G[U] is below its
+degree in G. That ball is U exactly when v's eccentricity inside G[U] is at
+most r. So the enumeration builds G[U] with `graph._induced`, the function
+every induced subgraph in the library comes from, and reads its distance
+rows only, through `Graph.distance_rows`: O(|U| m_U) time, where m_U counts
+G[U]'s edges, and one block of 128 rows of |U| hops at a time.
+`policy.candidate_set` and `optimize.sweep` read the rows of the whole
+graph and keep v when max_{w in S} d(v, w) < min_{u not in S} d(v, u), the
+layers of the private node s giving S; here neither s nor its layers are
+known, and the rows and exits are those of G[U], so the two can be checked
+against each other. The tests hold the posterior equal, bit for
 bit, to `posterior_by_bfs` in `tests/oracles.py`, which tries every radius
 of every node over one breadth-first search per node.
 """
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import _ROW_BLOCK, Graph, _ensure_fits
+from .graph import _ROW_BLOCK, Graph, _ensure_fits, _induced
 from .graph import bfs_layers  # noqa: F401  perfbench/tracing.py wraps observer.bfs_layers by name
 from .policy import DensityMap, _check_density
 
@@ -183,13 +185,9 @@ def posterior_bruteforce(
         plausible[:] = True
     elif len(unheard):
         # G[U] on the positions in `unheard`, and its exits: the unheard
-        # nodes with a heard neighbour.
-        ends = g.edge_array
-        side = heard[ends]
-        sub = Graph(len(unheard), np.searchsorted(unheard, ends[~side.any(axis=1)]))
-        near_heard = np.zeros(g.node_count, dtype=bool)
-        near_heard[ends[side[:, ::-1]]] = True
-        exits = np.flatnonzero(near_heard[unheard])
+        # nodes with a heard neighbour, so with fewer neighbours in G[U].
+        sub = _induced(g, unheard)
+        exits = np.flatnonzero(np.diff(sub.csr().indptr) < np.diff(g.csr().indptr)[unheard])
         # A ball is connected, so a disconnected G[U] is no ball.
         if sub.is_connected():
             for lo in range(0, len(unheard), _ROW_BLOCK):

@@ -249,6 +249,18 @@ class TestSimulate:
         assert "1000000000000 steps needs 9000000000000 bytes" in err
         assert not trace.exists()
 
+    def test_source_beyond_int64_exits_3(self, p4_file, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        code = main(
+            ["simulate", "--graph", p4_file, "--source", "99999999999999999999", "--radius", "1",
+             "--steps", "100", "--seed", "3", "--trace", str(trace)]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "error: node 99999999999999999999 outside 0..3\n"
+        assert "Traceback" not in err
+        assert not trace.exists()
+
     def test_negative_radius_exits_2_before_writing(self, p4_file, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
         code = main(
@@ -439,12 +451,17 @@ class TestExperiment:
         rows = (outdir / "averaged.csv").read_text(encoding="utf-8").splitlines()
         assert 2 <= len(rows) <= 3  # header plus a sweep of length <= 2
 
-    def test_bad_target_exit_2(self, tmp_path):
-        code = main(
-            ["experiment", "--nodes", "10", "--radius", "0.5", "--seeds", "1",
-             "--target", "median", "--outdir", str(tmp_path / "x")]
-        )
-        assert code == 2
+    def test_bad_target_exit_2(self, tmp_path, capsys):
+        for target in ("median", "abc"):
+            code = main(
+                ["experiment", "--nodes", "10", "--radius", "0.5", "--seeds", "1",
+                 "--target", target, "--outdir", str(tmp_path / "x")]
+            )
+            assert code == 2
+            assert capsys.readouterr().err == (
+                "error: target must be max-betweenness, min-betweenness, or a node id\n"
+            )
+        assert not (tmp_path / "x").exists()
 
 
 class TestWriteFailures:

@@ -21,7 +21,7 @@ from privzone import (
 )
 
 import privzone.graph as graph_module
-from privzone.graph import _largest_component
+from privzone.graph import _induced, _largest_component
 from scipy.sparse.csgraph import dijkstra
 
 from oracles import (
@@ -196,6 +196,41 @@ class TestInducedDiameter:
         assert disconnected > 10
 
 
+class TestInduced:
+    """`_induced`, the one source of induced subgraphs, against networkx's
+    `subgraph` relabelled in ascending node order."""
+
+    def test_matches_networkx_subgraph_relabelled(self):
+        import networkx as nx
+
+        rng = random.Random(23)
+        edgeless = 0
+        for _ in range(200):
+            n = rng.randint(1, 30)
+            g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.15])
+            nxg = nx.Graph(g.edges)
+            nxg.add_nodes_from(range(n))
+            keep = rng.random()
+            sel = sorted(v for v in range(n) if rng.random() < keep) or [rng.randrange(n)]
+            sub = nx.relabel_nodes(nxg.subgraph(sel), {v: k for k, v in enumerate(sel)})
+            got = _induced(g, np.array(sel, dtype=np.int64))
+            assert got == Graph(len(sel), list(sub.edges)), (g.edges, sel)
+            edgeless += not sub.number_of_edges()
+        assert edgeless > 20
+
+    def test_huge_node_count_allocates_nothing_per_node(self):
+        import tracemalloc
+
+        g = Graph(10**12, [(0, 1), (1, 10**12 - 1)])
+        tracemalloc.start()
+        try:
+            assert induced_diameter(g, [0, 1]) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
 class TestBetweenness:
     def test_star_center_dominates(self, s4):
         values = betweenness(s4)
@@ -308,9 +343,11 @@ class TestDistanceRows:
         assert p4.distance_rows([]).shape == (0, 4)
 
     def test_bad_sources_rejected(self, p4):
-        for bad in ([0, 4], [-1, 2]):
+        for bad in ([0, 4], [-1, 2], [10**20], [-10**20]):
             with pytest.raises(GraphValidityError, match="outside"):
                 p4.distance_rows(bad)
+        with pytest.raises(GraphValidityError, match="node 100000000000000000000 outside"):
+            bfs_layers(p4, 10**20)
 
     def test_disconnected_rejected(self):
         g = build_graph([(0, 1), (2, 3)])
