@@ -6,7 +6,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 __all__ = [
@@ -388,9 +388,20 @@ def induced_diameter(g: Graph, nodes) -> int:
     return diameter(sub)
 
 
-# Sources per block in `betweenness`: each block holds two float64 arrays of
-# block x n path counts and one int32 array of block x n levels.
+# Sources per block in `betweenness`. A block's state is three node-major
+# (n, block) arrays: int32 levels, float64 sigma and float64 psi.
 _BETWEENNESS_BLOCK = 128
+# A level of a block takes the dense tile product when its (node, source)
+# pairs fill at least this share of the tile of its nodes x the block's
+# sources, and the sparse product of the pairs otherwise. Calibrated with
+# tests/betweenness_shapes.py: 1/12 was the fastest or within noise of it on
+# every shape there, and below 1/16 the grid's levels get too thin for the
+# tile.
+_TILE_FILL = 1 / 12
+# Bytes per (node, source) pair that a block may hold at its peak: the state
+# (20), the level history (at most 16) and one level's tiles and products.
+# tracemalloc measured 35 to 68 on the graphs of tests/betweenness_shapes.py.
+_BETWEENNESS_PAIR_BYTES = 72
 # Largest n x n int32 level cache `betweenness` keeps (n up to 8192).
 _DIST_CACHE_BYTES = 256 * 2**20
 
@@ -407,40 +418,59 @@ def betweenness(g: Graph) -> np.ndarray:
     For source s, sigma[v] counts the shortest s-v paths and psi[v] the
     shortest paths from v on to nodes farther from s, so sigma[v] * psi[v]
     counts the shortest paths from s through v. The forward pass is a
-    breadth-first search of the whole block at once: the sparse product of
-    the block's level-(d-1) (source, node) pairs, weighted by sigma, with the
-    adjacency matrix reaches level d, and gives sigma there, on the pairs no
-    earlier level reached. The backward pass gets psi at level d the same
-    way from 1 + psi at level d+1, masked to the pairs at level d.
+    breadth-first search of the whole block at once: summing sigma over the
+    adjacency of the block's level-(d-1) (node, source) pairs reaches level
+    d, and gives sigma there, on the pairs no earlier level reached. The
+    backward pass gets psi at level d the same way from 1 + psi at level
+    d+1, summed onto the nodes that hold level-d pairs and masked to those
+    pairs.
+
+    The blocks are compact: the nodes are split recursively at the median
+    of their hop counts from node 0, then from the node farthest from it
+    (two `Graph.distance_rows` calls, skipped when one block holds every
+    node), so each level's pairs crowd onto few nodes. A block's level,
+    sigma and psi are node-major (n, 128) arrays, and each level takes one
+    of two products. When its pairs fill at least 1/12 of the tile (its
+    nodes x the block's sources), the dense tile is multiplied by the
+    adjacency between those nodes and their neighbours, with no symbolic
+    pass; otherwise the pairs are multiplied as a sparse matrix, which wins
+    on thin levels such as a path's. The choice reads only how full the
+    level is.
 
     The levels are the hop counts, so the search finds the distance matrix
     as it goes: when the graph has none cached and n x n int32 fits in
     256 MB, the rows of every block are kept and cached on `g` once the last
     block is done (`sweep` and `diameter` then read them). Other readers of
     distances get them from `Graph.distance_rows`, which is faster when no
-    path counts are wanted.
+    path counts are wanted. Raises ValueError before the first block when a
+    block's working set, taken as 72 bytes per (node, source) pair, would
+    not fit in physical memory.
 
     Every sigma, psi, product and sum is an integer held in float64. While
     they stay below 2**53 (all shortest paths together number about 7e10 on
     gen_rgg(1000, 0.1, 424242)) each is exact, so the result does not
-    depend on the block size or on the order of summation.
+    depend on the blocks, on which product a level takes or on the order of
+    summation. Above 2**53 the last bits do depend on that order: on a
+    32 x 32 grid the corner-to-corner count alone is C(62, 31), about 4.7e17.
     """
     g.ensure_connected()  # before anything n-sized is allocated
     n = g.node_count
+    b = min(_BETWEENNESS_BLOCK, n)
+    _ensure_fits(f"a betweenness block of {b} sources over {n} nodes", n * b * _BETWEENNESS_PAIR_BYTES)
     adj = g.csr()
     keep = g._dist is None and n * n * 4 <= _DIST_CACHE_BYTES
     dist = np.empty((n, n), dtype=np.int32) if keep else None
     through = np.zeros(n, dtype=np.float64)  # sum over sources of sigma[v] * psi[v]
     paths_from = np.zeros(n, dtype=np.float64)  # S_v = total shortest paths with source v
-    for lo in range(0, n, _BETWEENNESS_BLOCK):
-        sources = np.arange(lo, min(lo + _BETWEENNESS_BLOCK, n))
+    for sources in _compact_blocks(g):
         contrib, level = _block_path_counts(sources, adj)
         if dist is not None:
-            dist[sources] = level
-        own = (np.arange(len(sources)), sources)
+            dist[sources] = level.T
+        own = (sources, np.arange(len(sources)))
         paths_from[sources] = contrib[own]  # psi at the source counts every shortest path from s
         contrib[own] = 0.0
-        through += contrib.sum(axis=0)
+        through += contrib.sum(axis=1)
+        del contrib, level  # before the next block is allocated
     if dist is not None and g._dist is None:
         g._dist = dist  # one assignment: other threads see None or every row
 
@@ -452,43 +482,152 @@ def betweenness(g: Graph) -> np.ndarray:
     return out
 
 
+def _compact_blocks(g: Graph) -> list[np.ndarray]:
+    """Every node of g, in blocks of at most `_BETWEENNESS_BLOCK` nodes that
+    lie close together in hops.
+
+    The nodes are sorted stably by their hop count from one landmark and cut
+    at the block boundary nearest the median, and each half is split the
+    same way by the other landmark. The landmarks are node 0 and the node
+    farthest from it.
+    """
+    n, size = g.node_count, _BETWEENNESS_BLOCK
+    if n <= size:
+        return [np.arange(n)]
+    near = g.distance_rows([0])[0]
+    far = g.distance_rows([int(near.argmax())])[0]
+    blocks = []
+
+    def split(nodes: np.ndarray, key: np.ndarray, other: np.ndarray) -> None:
+        if len(nodes) <= size:
+            blocks.append(nodes)
+            return
+        nodes = nodes[np.argsort(key[nodes], kind="stable")]
+        half = size * -(-len(nodes) // (2 * size))  # the first ceil(blocks / 2) blocks
+        split(nodes[:half], other, key)
+        split(nodes[half:], other, key)
+
+    split(np.arange(n), near, far)
+    return blocks
+
+
 def _block_path_counts(sources: np.ndarray, adj: csr_matrix) -> tuple[np.ndarray, np.ndarray]:
-    """sigma * psi for each (source, node) pair of one block, and the hop
-    count of each pair, both shape (block, n). The graph must be connected."""
-    b, n = len(sources), adj.shape[0]
-    row_starts = np.arange(b) * n
+    """sigma * psi for each (node, source) pair of one block, and the hop
+    count of each pair, both node-major, shape (n, block). The graph must be
+    connected.
 
-    def spread(at: np.ndarray, values: np.ndarray):
-        """Sum `values` over the adjacency of the flat pair indices `at`,
-        which are grouped by row; returns the reached pairs, grouped by row,
-        and their sums."""
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(at // n, minlength=b))))
-        reached = csr_matrix((values, at % n, indptr), shape=(b, n)) @ adj
-        flat = np.repeat(row_starts, np.diff(reached.indptr)) + reached.indices
-        return flat, reached.data
+    Each level d is kept as its nodes, the ascending nodes holding a
+    level-d pair. When those pairs fill less than `_TILE_FILL` of the tile
+    of its nodes x the block's sources, the pairs are kept too, as flat
+    indices node * block + source grouped by source, and are spread by the
+    sparse product. A fuller level is spread as the dense tile, which the
+    step that made it hands on.
+    """
+    n, b = adj.shape[0], len(sources)
+    level = np.full((n, b), -1, dtype=np.int32)
+    sigma = np.zeros((n, b), dtype=np.float64)
+    psi = np.zeros((n, b), dtype=np.float64)
+    level_at, sigma_at, psi_at = level.reshape(-1), sigma.reshape(-1), psi.reshape(-1)
+    pos = np.full(n, -1, dtype=np.int64)  # scratch: a node's place in a node array, else -1
+    at = sources * b + np.arange(b)
+    level_at[at] = 0
+    sigma_at[at] = 1.0
+    rows, tile, count, found = np.sort(sources), None, b, 0
+    levels = []  # (nodes, pairs or None) per level
+    while True:
+        d = len(levels)
+        tiled = count >= _TILE_FILL * rows.size * b
+        if tiled and tile is None:  # a level the sparse product reached
+            tile = np.where(level[rows] == d, sigma[rows], 0.0)
+        elif not tiled and at is None:  # a level the tile reached
+            j, t = np.nonzero(fresh.T)
+            at = rows[t] * b + j
+        levels.append((rows, None if tiled else at))
+        found += count
+        if found == n * b:
+            break
+        if tiled:
+            nbrs, indptr = _neighbours(adj, rows)
+            cand = _distinct(np.sort(nbrs))  # every neighbour of the level's nodes
+            pos[cand] = np.arange(cand.size)
+            # adj[cand][:, rows], the transpose of adj[rows][:, cand]
+            spread = csc_matrix((np.ones(nbrs.size), pos[nbrs], indptr), shape=(cand.size, rows.size))
+            pos[cand] = -1
+            sums = spread @ tile
+            old = level[cand]
+            fresh = (old < 0) & (sums > 0)
+            hit = fresh.any(axis=1)
+            rows, fresh = cand[hit], fresh[hit]
+            level[rows] = np.where(fresh, d + 1, old[hit])
+            tile = sums[hit]
+            tile *= fresh
+            sigma[rows] += tile
+            count, at = np.count_nonzero(fresh), None
+        else:
+            flat, sums = _spread_pairs(adj, at, sigma_at[at], b)
+            fresh = level_at[flat] < 0
+            at = flat[fresh]
+            level_at[at] = d + 1
+            sigma_at[at] = sums[fresh]
+            holds = np.zeros(n, dtype=bool)  # O(n), less than sorting the pairs' nodes
+            holds[at // b] = True
+            rows, tile, count = np.flatnonzero(holds), None, at.size
+    tile = None
+    for d in range(len(levels) - 1, 0, -1):  # psi at level d - 1 from 1 + psi at level d
+        (rows, at), (targets, pairs) = levels[d], levels[d - 1]
+        if at is None:
+            if tile is None:  # a level the sparse product reached
+                tile = np.where(level[rows] == d, 1.0 + psi[rows], 0.0)
+            sums = _sub_adjacency(adj, targets, rows, pos) @ tile
+            if pairs is None:
+                here = level[targets] == d - 1
+                sums *= here
+                psi[targets] += sums
+                tile = sums + here
+            else:
+                pos[targets] = np.arange(targets.size)
+                psi_at[pairs] = sums[pos[pairs // b], pairs % b]
+                pos[targets] = -1
+        else:
+            flat, sums = _spread_pairs(adj, at, 1.0 + psi_at[at], b)
+            here = level_at[flat] == d - 1
+            psi_at[flat[here]] = sums[here]
+            tile = None
+    sigma *= psi
+    return sigma, level
 
-    level = np.full(b * n, -1, dtype=np.int32)
-    sigma = np.zeros(b * n, dtype=np.float64)
-    at = row_starts + sources
-    level[at] = 0
-    sigma[at] = 1.0
-    pairs = [at]  # flat pair indices of each level, grouped by row
-    found = b
-    while found < b * n:
-        flat, values = spread(at, sigma[at])
-        keep = level[flat] < 0
-        at = flat[keep]
-        level[at] = len(pairs)
-        sigma[at] = values[keep]
-        pairs.append(at)
-        found += at.size
-    psi = np.zeros(b * n, dtype=np.float64)
-    for d in range(len(pairs) - 2, -1, -1):
-        at = pairs[d + 1]
-        flat, values = spread(at, 1.0 + psi[at])
-        keep = level[flat] == d
-        psi[flat[keep]] = values[keep]
-    return (sigma * psi).reshape(b, n), level.reshape(b, n)
+
+def _spread_pairs(adj: csr_matrix, at: np.ndarray, values: np.ndarray, b: int):
+    """Sum `values`, held at the flat pairs `at` (grouped by source), over
+    the adjacency: the sparse product of the pairs with it. Returns the
+    reached pairs, grouped by source, and their sums."""
+    n = adj.shape[0]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(at % b, minlength=b))))
+    reached = csr_matrix((values, at // b, indptr), shape=(b, n)) @ adj
+    return reached.indices * b + np.repeat(np.arange(b), np.diff(reached.indptr)), reached.data
+
+
+def _sub_adjacency(adj: csr_matrix, rows: np.ndarray, cols: np.ndarray, pos: np.ndarray) -> csr_matrix:
+    """adj[rows][:, cols] for ascending node arrays. `pos` is n-sized
+    scratch, all -1, and is left so."""
+    pos[cols] = np.arange(cols.size)
+    nbrs, indptr = _neighbours(adj, rows)
+    at = pos[nbrs]
+    pos[cols] = -1
+    inside = at >= 0
+    kept = np.concatenate(([0], np.cumsum(inside)))
+    return csr_matrix((np.ones(kept[-1]), at[inside], kept[indptr]), shape=(rows.size, cols.size))
+
+
+def _neighbours(adj: csr_matrix, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The neighbours of each of `rows`, concatenated, and the offsets where
+    each row starts: adj[rows]'s indices and indptr, gathered without
+    scipy's fancy indexing, whose checks cost more than the gather on small
+    graphs."""
+    starts = adj.indptr[rows]
+    counts = adj.indptr[rows + 1] - starts
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    return adj.indices[np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])], indptr
 
 
 # Peak bytes per point while `gen_rgg` finds its candidate pairs: the

@@ -158,6 +158,17 @@ class TestBetweenness:
         assert lines[0] == "node,betweenness"
         assert len(lines) == 5
 
+    def test_block_beyond_physical_memory_exit_2(self, p4_file, tmp_path, capsys, monkeypatch):
+        # 4 KB pages: a block of 4 sources over 4 nodes at 72 bytes per pair
+        # is 1152 bytes, more than no page at all
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 0}.__getitem__)
+        out = tmp_path / "centrality.csv"
+        assert main(["betweenness", "--graph", p4_file, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: a betweenness block of 4 sources over 4 nodes needs 1152 bytes, "
+                       "more than the 0 bytes of physical memory\n")
+        assert not out.exists()
+
 
 class TestLineGraph:
     def test_triangle_to_triangle(self, tmp_path, capsys):

@@ -297,6 +297,52 @@ class TestBetweennessMatchesPerSource:
         for g in graphs:
             assert np.array_equal(betweenness(g), brandes_per_source(g)), g
 
+    @staticmethod
+    def networkx_shapes():
+        """Graphs whose levels are thin (grid, lollipop) or full (BA, WS),
+        all with path counts far below 2**53."""
+        import networkx as nx
+
+        shapes = (
+            nx.grid_2d_graph(8, 8),
+            nx.lollipop_graph(20, 30),
+            nx.barabasi_albert_graph(300, 4, seed=5),
+            nx.connected_watts_strogatz_graph(300, 8, 0.1, seed=5),
+        )
+        for h in shapes:
+            h = nx.convert_node_labels_to_integers(h)
+            yield Graph(h.number_of_nodes(), list(h.edges()))
+
+    @staticmethod
+    def check_every_kernel(g: Graph, monkeypatch):
+        """The default per-level choice, every level on the dense tile
+        (fill threshold 0) and every level on the sparse product (threshold
+        above any fill), each against the oracle and the BFS rows."""
+        expected = brandes_per_source(g)
+        rows = _rows_by_bfs(g, range(g.node_count))
+        for fill in (graph_module._TILE_FILL, 0.0, 2.0):
+            monkeypatch.setattr(graph_module, "_TILE_FILL", fill)
+            fresh = Graph(g.node_count, g.edge_array)
+            assert np.array_equal(betweenness(fresh), expected), (g, fill)
+            assert np.array_equal(fresh._dist, rows), (g, fill)
+
+    def test_shapes_on_both_kernels(self, monkeypatch):
+        for g in self.networkx_shapes():
+            self.check_every_kernel(g, monkeypatch)
+
+    @pytest.mark.parametrize("block", [1, 3, 300])
+    def test_block_sizes_on_both_kernels(self, block, monkeypatch):
+        # 1 and 3 split the 300 nodes into one-node and odd blocks; 300 holds
+        # them all in one block, so no landmark rows are read
+        monkeypatch.setattr(graph_module, "_BETWEENNESS_BLOCK", block)
+        self.check_every_kernel(gen_rgg(300, 0.12, 1).graph, monkeypatch)
+
+    def test_compact_blocks_partition_the_nodes(self):
+        g = gen_rgg(1000, 0.1, 424242).graph
+        blocks = graph_module._compact_blocks(g)
+        assert [len(b) for b in blocks] == [128] * 7 + [104]
+        assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(1000))
+
 
 def _rows_by_bfs(g: Graph, sources) -> np.ndarray:
     out = np.empty((len(sources), g.node_count), dtype=np.int32)
@@ -406,6 +452,18 @@ class TestBetweennessCachesDistances:
         monkeypatch.setattr(graph_module, "_DIST_CACHE_BYTES", 200 * 200 * 4)
         betweenness(fresh)
         assert np.array_equal(fresh._dist, _rows_by_bfs(g, range(200)))
+
+    def test_block_beyond_physical_memory_refused(self, monkeypatch):
+        # 4 KB pages: a block of 128 sources over 200 nodes at 72 bytes per
+        # pair is 1,843,200 bytes, exactly 450 pages
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 449}
+        monkeypatch.setattr(graph_module.os, "sysconf", pages.__getitem__)
+        g = random_connected_graph(200, 0.03, random.Random(11))
+        with pytest.raises(ValueError, match="a betweenness block of 128 sources over 200 nodes needs 1843200 bytes"):
+            betweenness(g)
+        assert g._dist is None
+        pages["SC_PHYS_PAGES"] = 450
+        assert np.array_equal(betweenness(g), brandes_per_source(g))
 
     def test_distance_matrix_beyond_physical_memory_refused(self, monkeypatch):
         # 4 KB pages: n x n int32 at n=200 is 160,000 bytes, 39.06 pages
