@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .graph import betweenness, gen_rgg
+from .graph import Graph, _first_simplicial, betweenness, gen_rgg
 from .optimize import sweep
 
 __all__ = ["ExperimentConfig", "ExperimentResult", "run_experiment", "worker_cap"]
@@ -31,7 +31,12 @@ class ExperimentConfig:
     """One experiment: n, connection radius, seeds, and the target node rule.
 
     target is "max-betweenness", "min-betweenness", or an explicit node id.
-    Betweenness ties go to the lowest node id.
+    Betweenness ties go to the lowest node id. The min-betweenness node is
+    the smallest simplicial node (one whose neighbours are pairwise
+    adjacent) when there is one: in a connected graph exactly those nodes
+    lie on no shortest path between two others, so they score 0.
+    `betweenness` runs for max-betweenness, and for min-betweenness only
+    when no node is simplicial.
     """
 
     n: int
@@ -78,6 +83,28 @@ def worker_cap(n_tasks: int) -> int:
     return max(1, min(cap, n_tasks))
 
 
+def _betweenness_target(g: Graph, rule: str) -> int:
+    """The node of the connected graph `g` with the largest
+    (`max-betweenness`) or smallest (`min-betweenness`) betweenness, ties to
+    the lowest id.
+
+    The smallest is found without computing betweenness where it can be. In
+    a connected graph B(v) = 0 exactly when v is simplicial: two
+    non-adjacent neighbours u, w of v are at distance 2 with u-v-w a
+    shortest path through v, while a path through a v whose neighbours form
+    a clique is shortened by the edge that skips v. `betweenness` scores
+    such a node exactly 0.0 and every other node above 0, so its argmin is
+    the smallest simplicial node, and `betweenness` runs only when there is
+    none.
+    """
+    if rule == "min-betweenness":
+        simplicial = _first_simplicial(g)
+        if simplicial is not None:
+            return simplicial
+        return int(np.argmin(betweenness(g)))
+    return int(np.argmax(betweenness(g)))
+
+
 def _run_seed(config: ExperimentConfig, seed: int) -> tuple[str, int, int]:
     """One seed's sweep CSV text, target node and discarded point count."""
     geo = gen_rgg(config.n, config.radius, seed)
@@ -86,11 +113,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> tuple[str, int, int]:
         g.check_node(config.target)
         target = config.target
     else:
-        scores = betweenness(g)
-        if config.target == "max-betweenness":
-            target = int(np.argmax(scores))
-        else:
-            target = int(np.argmin(scores))
+        target = _betweenness_target(g, config.target)
     density = None
     if config.density_path is not None:
         density = fileio.parse_density(fileio.read_text(config.density_path), g.node_count)

@@ -412,7 +412,10 @@ def betweenness(g: Graph) -> np.ndarray:
     For node v the value is the number of shortest paths through v (over
     ordered source-target pairs with both endpoints distinct from v, counting
     path multiplicity) divided by the total number of shortest paths over the
-    same pairs.
+    same pairs. The nodes scoring exactly 0 are the simplicial ones, whose
+    neighbours are pairwise adjacent, since only they lie on no shortest
+    path between two other nodes; `_first_simplicial` finds the smallest
+    without computing any path counts.
 
     Brandes' accumulation runs level by level over blocks of 128 sources.
     For source s, sigma[v] counts the shortest s-v paths and psi[v] the
@@ -480,6 +483,39 @@ def betweenness(g: Graph) -> np.ndarray:
     nonzero = denom > 0
     out[nonzero] = through[nonzero] / denom[nonzero]
     return out
+
+
+def _first_simplicial(g: Graph) -> int | None:
+    """The smallest node whose neighbours are pairwise adjacent, or None
+    when no node is simplicial.
+
+    Each neighbour u of a simplicial v is adjacent to v and to v's other
+    neighbours, so deg(u) >= deg(v): one `reduceat` over the neighbours'
+    degrees leaves only the nodes that pass this. They are then tried in
+    ascending order. A node of degree <= 1 is simplicial at once; for any
+    other v, N[v] (v and its neighbours) is marked in an n-sized scratch,
+    and v is simplicial exactly when every neighbour's adjacency holds
+    deg(v) marked nodes, deg(v)**2 in all. A tried node costs the sum of
+    its neighbours' degrees; nothing is formed over the whole graph.
+    """
+    adj = g.csr()
+    indptr, indices = adj.indptr, adj.indices
+    deg = np.diff(indptr)
+    has = deg > 0
+    passes = ~has  # an isolated node is simplicial
+    passes[has] = deg[has] <= np.minimum.reduceat(deg[indices], indptr[:-1][has])
+    mark = np.zeros(g.node_count, dtype=bool)
+    for v in np.flatnonzero(passes):
+        v, d = int(v), int(deg[v])
+        if d <= 1:
+            return v
+        nbrs = indices[indptr[v]:indptr[v + 1]]
+        mark[nbrs] = mark[v] = True
+        gathered, _ = _neighbours(adj, nbrs)
+        if np.count_nonzero(mark[gathered]) == d * d:
+            return v
+        mark[nbrs] = mark[v] = False
+    return None
 
 
 def _compact_blocks(g: Graph) -> list[np.ndarray]:

@@ -15,7 +15,9 @@ silenced set, as in `posterior_bruteforce`) and one that does (the ball of
 the same radius must equal it). The first reading is checked against the
 candidate counts of `sweep` for both targets. It also compares the
 max-betweenness target with every node tied at the minimum betweenness,
-since `argmin` keeps only the lowest id among them.
+since `argmin` keeps only the lowest id among them. The min target that
+`run_experiment` picks without computing betweenness (the smallest simplicial
+node) is asserted equal to this script's own argmin on every seed.
 
 Not collected by pytest; it takes about a minute, most of it at n=1000.
 """
@@ -27,6 +29,7 @@ import argparse
 import numpy as np
 
 from privzone import betweenness, gen_rgg, sweep
+from privzone.experiment import _betweenness_target
 
 SCALES = {"desk": (300, 0.12), "full": (1000, 0.1)}
 SEEDS = tuple(range(1, 11))
@@ -67,6 +70,8 @@ def run_scale(name: str) -> None:
         dist = g.distance_matrix()
         scores = betweenness(g)
         t_max, t_min = int(np.argmax(scores)), int(np.argmin(scores))
+        picked = _betweenness_target(g, "min-betweenness")
+        assert picked == t_min, f"seed {seed}: the picker chose {picked}, argmin is {t_min}"
         unknown = {}
         for t in (t_max, t_min):
             unknown[t] = candidate_counts(dist, t, known_radius=False)

@@ -15,11 +15,15 @@ loops (`walk_steps_by_loop`, `trace_csv_by_loop`, `observed_by_loop`,
 tuples, and the graph construction through Python tuples (`TupleGraph`,
 `build_graph_by_tuples`, `parse_edge_list_by_lines`, `line_graph_by_sets`)
 that the array-native `Graph` replaced, and `gen_rgg_dense`, the generator through n x n arrays
-that the sweep over x-sorted points replaced.
+that the sweep over x-sorted points replaced. `simplicial_by_sets` reads the
+zero set of betweenness from neighbour sets alone, and
+`parse_positions_by_lines` and `parse_density_by_lines` read their files
+into dicts, line by line, with no array until the end.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from functools import lru_cache
@@ -441,6 +445,63 @@ def parse_edge_list_by_lines(text: str) -> TupleGraph:
     return build_graph_by_tuples(edges)
 
 
+def parse_positions_by_lines(text: str, node_count: int) -> np.ndarray:
+    """Parse `node x y` lines into an (n, 2) coordinate array; a later line
+    for a node replaces an earlier one."""
+    coords: dict[int, tuple[float, float]] = {}
+    for lineno, line in _data_lines(text):
+        parts = line.split()
+        if len(parts) != 3:
+            raise ParseError(f"line {lineno}: expected three fields, got {line!r}")
+        try:
+            v, x, y = int(parts[0]), float(parts[1]), float(parts[2])
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: bad entry {line!r}") from exc
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ParseError(f"line {lineno}: non-finite coordinate in {line!r}")
+        if not 0 <= v < node_count:
+            raise ParseError(f"line {lineno}: node {v} out of range")
+        coords[v] = (x, y)
+    missing = [v for v in range(node_count) if v not in coords]
+    if missing:
+        raise ParseError(f"no position for node {missing[0]}")
+    return np.array([coords[v] for v in range(node_count)], dtype=np.float64)
+
+
+def parse_density_by_lines(text: str, node_count: int) -> np.ndarray:
+    """Parse `node rho` and `default rho` lines into the per-node densities;
+    later lines replace earlier ones, and the default fills every node no
+    line names."""
+    rho: dict[int, float] = {}
+    default = None
+    for lineno, line in _data_lines(text):
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(f"line {lineno}: expected two fields, got {line!r}")
+        try:
+            value = float(parts[1])
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: bad density in {line!r}") from exc
+        if not (math.isfinite(value) and value >= 0):
+            raise ParseError(f"line {lineno}: density must be finite and nonnegative")
+        if parts[0] == "default":
+            default = value
+            continue
+        try:
+            v = int(parts[0])
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: bad node id in {line!r}") from exc
+        if not 0 <= v < node_count:
+            raise ParseError(f"line {lineno}: node {v} out of range")
+        rho[v] = value
+    values = [rho.get(v, default) for v in range(node_count)]
+    if None in values:
+        raise ParseError(f"no density for node {values.index(None)} and no default")
+    if not any(value > 0 for value in values):
+        raise ParseError("density has no positive entry")
+    return np.array(values, dtype=np.float64)
+
+
 def line_graph_by_sets(g: Graph) -> tuple[TupleGraph, tuple[tuple[int, int], ...]]:
     """Edge-to-vertex dual: one node per edge of g, adjacent iff the edges share
     an endpoint.
@@ -463,6 +524,14 @@ def line_graph_by_sets(g: Graph) -> tuple[TupleGraph, tuple[tuple[int, int], ...
                 dual_edges.add((min(x, y), max(x, y)))
     dual = TupleGraph(len(g.edges), tuple(dual_edges))
     return dual, g.edges
+
+
+def simplicial_by_sets(g: Graph) -> list[bool]:
+    """Per node, whether its neighbours are pairwise adjacent: every
+    neighbour u sees all the other neighbours. In a connected graph these
+    are exactly the nodes no shortest path runs through."""
+    nbrs = [set(a) for a in g.adjacency]
+    return [all(nbrs[v] - {u} <= nbrs[u] for u in nbrs[v]) for v in range(g.node_count)]
 
 
 def random_connected_graph(n: int, extra_prob: float, rng: random.Random) -> Graph:

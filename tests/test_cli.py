@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import privzone
 from privzone import build_graph, gen_rgg
@@ -504,3 +506,112 @@ class TestRoundTrip:
         path = tmp_path / "g.txt"
         path.write_text(format_edge_list(g), encoding="utf-8")
         assert parse_edge_list(path.read_text(encoding="utf-8")) == g
+
+
+# Texts for the CLI fuzz: usable graphs (a triangle, a path, a square with a
+# chord) and the edge lists a command must refuse: empty, disconnected, a
+# byte-order mark, CRLF and NUL, huge, negative and float ids, a self-loop,
+# an id beyond int64 and bytes that are not UTF-8 (or, half the times that
+# text is drawn, a missing file). Every huge id is 10**12 or more, so a
+# node-sized allocation could not succeed by accident.
+_FUZZ_GRAPHS = (
+    b"0 1\n1 2\n2 0\n", b"0 1\n1 2\n2 3\n3 4\n", b"# c\n0 1\n1 2\n2 3\n3 0\n0 2\n",
+    b"", b"\n# only a comment\n", b"0 1\n2 3\n", "\ufeff0 1\n1 2\n".encode(), b"0 1\r\n1 2\r\n",
+    b"0 1\x00\n1 2\n", b"0 1000000000000\n1 2\n", b"0 9223372036854775807\n", b"-1 2\n",
+    b"0 1.5\n", b"0 0\n", b"0 99999999999999999999\n", b"\xff\xfe0 1\n",
+)
+_FUZZ_DENSITIES = (
+    b"default 1\n", b"0 1\n1 2\n2 0.5\n3 1\n4 1\n", b"", b"default 0\n", b"default -1\n",
+    b"0 nan\ndefault 1\n", "\ufeffdefault 1\n".encode(), b"5000000000000 1\n", b"0 1e400\n",
+)
+# Extreme values appear only where they are refused before anything is
+# allocated or started: node counts and walk lengths beyond memory. Each
+# argument is drawn from the extremes one time in four.
+_FUZZ_INTS = (st.integers(0, 4), st.sampled_from([-1, 2**31, 2**63 - 1, 2**63, -(2**63) - 1, 10**30]))
+_FUZZ_FLOATS = (st.sampled_from([0.3, 0.5, 0.7, 1.0]),
+                st.one_of(st.sampled_from([0.0, -0.5, 1.5]), st.floats()))
+_FUZZ_NODES = (st.integers(2, 30), st.sampled_from([-1, 0, 1, 2**40, 2**63 - 1, 10**30]))
+_FUZZ_STEPS = (st.integers(1, 40), st.sampled_from([-1, 0, 2**40, 2**63 - 1, 10**30]))
+
+
+class TestCliFuzzed:
+    """Random argv for all eight commands over small files and extreme
+    arguments: `main` returns 0, 2, 3 or 4, and no exception escapes."""
+
+    @staticmethod
+    def file(tmp_path, name, content):
+        path = tmp_path / name
+        if not path.exists():
+            path.write_bytes(content)
+        return str(path)
+
+    def argv(self, draw, tmp_path):
+        def rarely() -> bool:
+            return draw(st.integers(0, 3)) == 0
+
+        def graph():
+            k = draw(st.integers(3, len(_FUZZ_GRAPHS) - 1) if rarely() else st.integers(0, 2))
+            if k == len(_FUZZ_GRAPHS) - 1 and draw(st.booleans()):
+                return ["--graph", str(tmp_path / "missing.txt")]
+            return ["--graph", self.file(tmp_path, f"g{k}.txt", _FUZZ_GRAPHS[k])]
+
+        def optional(flag, value):
+            return [f"{flag}={value}"] if draw(st.booleans()) else []
+
+        def density():
+            k = draw(st.integers(2, len(_FUZZ_DENSITIES) - 1) if rarely() else st.integers(0, 1))
+            return optional("--density", self.file(tmp_path, f"d{k}.txt", _FUZZ_DENSITIES[k]))
+
+        def out(name):
+            return optional(f"--{name}", tmp_path / "missing" / name if rarely() else tmp_path / name)
+
+        def value(values):
+            common, extreme = values
+            return draw(extreme if rarely() else common)
+
+        def num(flag, values):
+            return [f"{flag}={value(values)}"]
+
+        command = draw(st.sampled_from(["analyze", "sweep", "optimize", "gen-rgg", "betweenness",
+                                        "line-graph", "simulate", "experiment"]))
+        source = num("--source", _FUZZ_INTS)
+        if command == "analyze":
+            args = graph() + source + num("--radius", _FUZZ_INTS) + density()
+        elif command == "sweep":
+            args = graph() + source + density() + out("output")
+        elif command == "optimize":
+            problem = draw(st.sampled_from([1, 2]))
+            weight = ["--gamma", "--xi"][problem - 1]
+            if rarely():  # a stray or missing weight
+                weights = (optional("--gamma", value(_FUZZ_FLOATS))
+                           + optional("--xi", value(_FUZZ_FLOATS)))
+            else:
+                weights = num(weight, _FUZZ_FLOATS)
+            args = graph() + source + [f"--problem={problem}"] + weights + density()
+        elif command == "gen-rgg":
+            args = (num("--nodes", _FUZZ_NODES) + num("--radius", _FUZZ_FLOATS)
+                    + num("--seed", _FUZZ_INTS) + out("output") + out("positions"))
+        elif command in ("betweenness", "line-graph"):
+            args = graph() + out("output") + (out("mapping") if command == "line-graph" else [])
+        elif command == "simulate":
+            args = (graph() + source + num("--radius", _FUZZ_INTS) + num("--steps", _FUZZ_STEPS)
+                    + num("--seed", _FUZZ_INTS) + out("trace") + out("posterior") + density())
+        else:
+            rules = st.sampled_from(["max-betweenness", "min-betweenness"])
+            ids = st.one_of(st.just("median"), *(ints.map(str) for ints in _FUZZ_INTS))
+            target = draw(ids if rarely() else rules)
+            seeds = [value(_FUZZ_INTS) for _ in range(draw(st.integers(1, 3)))]
+            args = (num("--nodes", _FUZZ_NODES) + num("--radius", _FUZZ_FLOATS)
+                    + ["--seeds", *map(str, seeds), f"--target={target}", f"--outdir={tmp_path / 'exp'}"]
+                    + density())
+        return [command, *args]
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_exit_code_in_contract(self, tmp_path, monkeypatch, capsys, data):
+        monkeypatch.setenv("PRIVZONE_THREADS", "1")  # experiment runs its seeds in this process
+        argv = self.argv(data.draw, tmp_path)
+        code = main(argv)
+        capsys.readouterr()
+        assert code in (0, 2, 3, 4), argv

@@ -1,9 +1,11 @@
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
-from privzone import analyze, build_graph, gen_rgg, diameter
-from privzone.experiment import ExperimentConfig, run_experiment, worker_cap
+import privzone.experiment as experiment_module
+from privzone import analyze, betweenness, build_graph, gen_rgg, diameter
+from privzone.experiment import ExperimentConfig, _betweenness_target, run_experiment, worker_cap
 from privzone.fileio import parse_sweep_csv
 
 
@@ -104,6 +106,34 @@ class TestRunExperiment:
         config = ExperimentConfig(n=10, radius=0.6, seeds=(1,), target=99)
         with pytest.raises(Exception, match="node 99"):
             run_experiment(config, tmp_path)
+
+
+class TestBetweennessTarget:
+    """The target rules against `betweenness` computed on a separate copy
+    of each graph."""
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_min_is_argmin_of_betweenness(self, seed, monkeypatch):
+        scores = betweenness(gen_rgg(1000, 0.1, seed).graph)
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return betweenness(g)
+
+        monkeypatch.setattr(experiment_module, "betweenness", counted)
+        target = _betweenness_target(gen_rgg(1000, 0.1, seed).graph, "min-betweenness")
+        assert target == int(np.argmin(scores))
+        # Seed 2 has no node of betweenness 0, so only there does the
+        # picker fall back to computing betweenness.
+        assert (scores.min() > 0) == (seed == 2)
+        assert len(calls) == (seed == 2)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_max_is_argmax_of_betweenness(self, seed):
+        scores = betweenness(gen_rgg(300, 0.12, seed).graph)
+        target = _betweenness_target(gen_rgg(300, 0.12, seed).graph, "max-betweenness")
+        assert target == int(np.argmax(scores))
 
 
 class TestThreadSafety:

@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -21,7 +22,7 @@ from privzone import (
 )
 
 import privzone.graph as graph_module
-from privzone.graph import _induced, _largest_component
+from privzone.graph import _first_simplicial, _induced, _largest_component
 from scipy.sparse.csgraph import dijkstra
 
 from oracles import (
@@ -35,6 +36,7 @@ from oracles import (
     naive_betweenness,
     random_connected_graph,
     relabelled,
+    simplicial_by_sets,
 )
 
 
@@ -342,6 +344,64 @@ class TestBetweennessMatchesPerSource:
         blocks = graph_module._compact_blocks(g)
         assert [len(b) for b in blocks] == [128] * 7 + [104]
         assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(1000))
+
+
+class TestSimplicial:
+    """The zero set of `betweenness` is the set of simplicial nodes on a
+    connected graph, and `_first_simplicial` is its smallest member, both
+    against `simplicial_by_sets`."""
+
+    @staticmethod
+    def check(g: Graph):
+        expected = simplicial_by_sets(g)
+        assert (betweenness(g) == 0).tolist() == expected, g
+        assert _first_simplicial(g) == next((v for v, s in enumerate(expected) if s), None), g
+
+    def test_atlas_graphs(self):
+        for g in connected_atlas_graphs():
+            self.check(g)
+
+    def test_random_graphs(self):
+        rng = random.Random(16)
+        for _ in range(100):
+            self.check(random_connected_graph(rng.randint(3, 40), rng.choice((0.05, 0.2, 0.5)), rng))
+
+    def test_single_node_and_p2(self):
+        self.check(Graph(1, ()))
+        self.check(build_graph([(0, 1)]))
+
+    def test_networkx_shapes_paths_and_cycles(self):
+        for g in TestBetweennessMatchesPerSource.networkx_shapes():
+            self.check(g)
+        for n in (3, 4, 128, 129):
+            path = [(i, i + 1) for i in range(n - 1)]
+            self.check(build_graph(path))
+            self.check(build_graph(path + [(n - 1, 0)]))
+
+    def test_star_is_decided_by_degrees(self, monkeypatch):
+        # The hub fails the degree test and leaf 1 has degree 1, so no
+        # adjacency is gathered: a whole-graph A @ A would hold
+        # sum(deg**2) = 4e10 entries here.
+        n = 200_000
+        star = Graph(n + 1, np.stack((np.zeros(n, dtype=np.int64), np.arange(1, n + 1)), axis=1))
+        star.csr()
+        gathered = []
+        real = graph_module._neighbours
+
+        def counted(adj, rows):
+            gathered.append(rows.size)
+            return real(adj, rows)
+
+        monkeypatch.setattr(graph_module, "_neighbours", counted)
+        tracemalloc.start()
+        try:
+            first = _first_simplicial(star)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first == 1
+        assert gathered == []
+        assert peak < 128 * (n + 1), peak
 
 
 def _rows_by_bfs(g: Graph, sources) -> np.ndarray:

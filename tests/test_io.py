@@ -28,7 +28,7 @@ from privzone.fileio import _data_lines, _edge_lines, _edge_tokens
 from privzone.graph import GraphValidityError
 from privzone.observer import WalkTrace, posterior_bruteforce
 
-from oracles import parse_edge_list_by_lines
+from oracles import parse_density_by_lines, parse_edge_list_by_lines, parse_positions_by_lines
 
 
 class TestEdgeList:
@@ -308,10 +308,19 @@ def _field_texts(draw, fields):
     return "\n".join(lines) + draw(st.sampled_from(["", "\n"])), n
 
 
+def _read_or_refused(parse, text, n):
+    """`parse(text, n)`, or None when it raised ParseError."""
+    try:
+        return parse(text, n)
+    except ParseError:
+        return None
+
+
 class TestFieldParsersFuzzed:
     """`parse_positions` and `parse_density` on generated texts: each text
     is refused with a ParseError or read as finite values, and no other
-    exception escapes."""
+    exception escapes. Each also agrees with its line-by-line oracle: equal
+    arrays, or a ParseError from both."""
 
     @settings(max_examples=200, deadline=None)
     @given(_field_texts(2))
@@ -334,6 +343,30 @@ class TestFieldParsersFuzzed:
         except ParseError:
             return
         assert density.rho.shape == (n,) and np.isfinite(density.rho).all(), text
+
+    @settings(max_examples=200, deadline=None)
+    @given(_field_texts(2))
+    @example(("0 0.5 0.5\n0 1 2\n", 1))
+    @example(("0 0.5 0.5\n1 inf 0\n", 1))
+    def test_positions_match_line_oracle(self, case):
+        text, n = case
+        got = _read_or_refused(parse_positions, text, n)
+        want = _read_or_refused(parse_positions_by_lines, text, n)
+        assert (got is None) == (want is None), text
+        if got is not None:
+            assert got.dtype == want.dtype and np.array_equal(got, want), text
+
+    @settings(max_examples=200, deadline=None)
+    @given(_field_texts(1))
+    @example(("default 0.25\n0 3\ndefault 1.5\n", 3))
+    @example(("default 0\n0 0\n", 1))
+    def test_density_matches_line_oracle(self, case):
+        text, n = case
+        got = _read_or_refused(lambda t, k: parse_density(t, k).rho, text, n)
+        want = _read_or_refused(parse_density_by_lines, text, n)
+        assert (got is None) == (want is None), text
+        if got is not None:
+            assert got.dtype == want.dtype and np.array_equal(got, want), text
 
 
 class TestSweepCsv:
