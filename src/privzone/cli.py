@@ -151,17 +151,23 @@ def build_parser() -> argparse.ArgumentParser:
     def graph_arg(p):
         p.add_argument("--graph", required=True, help="edge list file (one `i j` per line)")
 
+    def source_arg(p):
+        p.add_argument("--source", type=int, required=True, help="private node id")
+
+    def density_arg(p):
+        p.add_argument("--density", help="density file (`node rho`, optional `default rho`)")
+
     p = sub.add_parser("analyze", help="derived sets and privacy for one (source, radius)")
     graph_arg(p)
-    p.add_argument("--source", type=int, required=True, help="private node id")
+    source_arg(p)
     p.add_argument("--radius", type=int, required=True, help="suppression radius in hops")
-    p.add_argument("--density", help="density file (`node rho`, optional `default rho`)")
+    density_arg(p)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("sweep", help="privacy/cost for every radius, as CSV")
     graph_arg(p)
-    p.add_argument("--source", type=int, required=True)
-    p.add_argument("--density")
+    source_arg(p)
+    density_arg(p)
     p.add_argument("--output", help="CSV destination (default stdout)")
     p.set_defaults(func=_cmd_sweep)
 
@@ -169,11 +175,11 @@ def build_parser() -> argparse.ArgumentParser:
                        "against cost with weight gamma; problem 2 minimizes cost "
                        "subject to privacy <= xi")
     graph_arg(p)
-    p.add_argument("--source", type=int, required=True)
+    source_arg(p)
     p.add_argument("--problem", type=int, choices=(1, 2), required=True)
     p.add_argument("--gamma", type=float, help="cost weight (problem 1)")
     p.add_argument("--xi", type=float, help="privacy cap (problem 2)")
-    p.add_argument("--density")
+    density_arg(p)
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("gen-rgg", help="random geometric graph in the unit square")
@@ -197,13 +203,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="random walk with suppressed broadcasts")
     graph_arg(p)
-    p.add_argument("--source", type=int, required=True)
+    source_arg(p)
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--trace", help="trace CSV destination (default stdout)")
     p.add_argument("--posterior", help="also infer the observer posterior into this CSV")
-    p.add_argument("--density")
+    density_arg(p)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("experiment", help="per-seed and averaged sweeps on random "
@@ -214,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True,
                    help="max-betweenness, min-betweenness, or a node id")
     p.add_argument("--outdir", required=True)
-    p.add_argument("--density")
+    density_arg(p)
     p.set_defaults(func=_cmd_experiment)
 
     return parser

@@ -303,4 +303,5 @@ def format_line_graph_mapping(mapping: tuple[tuple[int, int], ...]) -> str:
 def format_json(payload: dict | PolicyAnalysis | Solution) -> str:
     if isinstance(payload, (PolicyAnalysis, Solution)):
         payload = payload.to_json_dict()
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    # NaN and infinities have no JSON spelling: json raises ValueError for them.
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"

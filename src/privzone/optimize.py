@@ -4,7 +4,6 @@ tiny-scale exhaustive solver over arbitrary silence sets."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -159,22 +158,22 @@ def solve_asymmetric_exhaustive(
             f"exhaustive silence-set search is limited to {ASYMMETRIC_NODE_CAP} nodes "
             f"(got {n}); use the symmetric solver solve_tradeoff instead"
         )
-    edge_masks = [(1 << i) | (1 << j) for i, j in g.edges]
-    others = [v for v in range(n) if v != s]
-    best_key: tuple[float, int, tuple[int, ...]] | None = None
-    best_set: set[int] = set()
-    best_obj = 0.0
-    for size in range(len(others) + 1):
-        for extra in combinations(others, size):
-            members = (s, *extra)
-            mask = 0
-            for v in members:
-                mask |= 1 << v
-            cost = sum(1 for em in edge_masks if em & mask)
-            obj = 1.0 / len(members) + gamma * cost
-            key = (obj, len(members), tuple(sorted(members)))
-            if best_key is None or key < best_key:
-                best_key = key
-                best_set = set(members)
-                best_obj = obj
-    return best_set, best_obj
+    # Bit s inserted into every (n - 1)-bit number: each silence set that
+    # holds s, as a mask.
+    low = np.arange(1 << (n - 1), dtype=np.int64)
+    sets = (low >> s << (s + 1)) | (1 << s) | (low & ((1 << s) - 1))
+    size = np.zeros_like(sets)
+    for v in range(n):
+        size += (sets & (1 << v)) != 0
+    cost = np.zeros_like(sets)
+    for i, j in g.edges:
+        cost += (sets & ((1 << i) | (1 << j))) != 0
+    with np.errstate(over="ignore"):  # gamma * cost may round to inf, as it does in Python
+        obj = 1.0 / size + gamma * cost
+    best_obj = obj.min()
+
+    def members(mask: int) -> list[int]:
+        return [v for v in range(n) if mask >> v & 1]
+
+    best = min(sets[obj == best_obj].tolist(), key=lambda m: (bin(m).count("1"), members(m)))
+    return set(members(best)), float(best_obj)

@@ -19,6 +19,9 @@ that the sweep over x-sorted points replaced. `simplicial_by_sets` reads the
 zero set of betweenness from neighbour sets alone, and
 `parse_positions_by_lines` and `parse_density_by_lines` read their files
 into dicts, line by line, with no array until the end.
+`solve_asymmetric_by_loop` tries the silence sets one Python tuple at a
+time, smallest first, where `privzone.solve_asymmetric_exhaustive` makes
+one array pass over all of them.
 """
 
 from __future__ import annotations
@@ -27,10 +30,12 @@ import math
 import random
 from collections import deque
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
 from privzone import (
+    ASYMMETRIC_NODE_CAP,
     DistanceLayers,
     GeoGraph,
     Graph,
@@ -532,6 +537,43 @@ def simplicial_by_sets(g: Graph) -> list[bool]:
     are exactly the nodes no shortest path runs through."""
     nbrs = [set(a) for a in g.adjacency]
     return [all(nbrs[v] - {u} <= nbrs[u] for u in nbrs[v]) for v in range(g.node_count)]
+
+
+def solve_asymmetric_by_loop(
+    g: Graph, s: int, gamma: float
+) -> tuple[set[int], float]:
+    """`privzone.solve_asymmetric_exhaustive` as one loop over the silence
+    sets that hold s, drawn from `itertools.combinations` by size; each set
+    is tested against every edge mask."""
+    g.ensure_connected()
+    g.check_node(s)
+    if not 0 < gamma < np.inf:
+        raise ValueError("gamma must be positive and finite")
+    n = g.node_count
+    if n > ASYMMETRIC_NODE_CAP:
+        raise GraphValidityError(
+            f"exhaustive silence-set search is limited to {ASYMMETRIC_NODE_CAP} nodes "
+            f"(got {n}); use the symmetric solver solve_tradeoff instead"
+        )
+    edge_masks = [(1 << i) | (1 << j) for i, j in g.edges]
+    others = [v for v in range(n) if v != s]
+    best_key: tuple[float, int, tuple[int, ...]] | None = None
+    best_set: set[int] = set()
+    best_obj = 0.0
+    for size in range(len(others) + 1):
+        for extra in combinations(others, size):
+            members = (s, *extra)
+            mask = 0
+            for v in members:
+                mask |= 1 << v
+            cost = sum(1 for em in edge_masks if em & mask)
+            obj = 1.0 / len(members) + gamma * cost
+            key = (obj, len(members), tuple(sorted(members)))
+            if best_key is None or key < best_key:
+                best_key = key
+                best_set = set(members)
+                best_obj = obj
+    return best_set, best_obj
 
 
 def random_connected_graph(n: int, extra_prob: float, rng: random.Random) -> Graph:

@@ -119,6 +119,16 @@ class TestOptimize:
         assert out == ""
         assert err == "error: gamma must be positive and finite\n"
 
+    def test_infinite_objective_exit_2(self, p4_file, capsys):
+        # every radius costs at least 2 edges, and 2 * 1e308 overflows to inf
+        code = main(
+            ["optimize", "--graph", p4_file, "--source", "1", "--problem", "1", "--gamma", "1e308"]
+        )
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_mixed_flags_rejected(self, p4_file, capsys):
         code = main(
             ["optimize", "--graph", p4_file, "--source", "1", "--problem", "2",
@@ -127,6 +137,26 @@ class TestOptimize:
         assert code == 2
         code = main(["optimize", "--graph", p4_file, "--source", "1", "--problem", "1"])
         assert code == 2
+
+
+class TestHelp:
+    SOURCE = "--source SOURCE private node id"
+    DENSITY = "--density DENSITY density file (`node rho`, optional `default rho`)"
+
+    @pytest.mark.parametrize("command,described", [
+        ("analyze", (SOURCE, DENSITY)),
+        ("sweep", (SOURCE, DENSITY)),
+        ("optimize", (SOURCE, DENSITY)),
+        ("simulate", (SOURCE, DENSITY)),
+        ("experiment", (DENSITY,)),
+    ])
+    def test_source_and_density_described(self, capsys, command, described):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for line in described:
+            assert line in text
 
 
 class TestGenRgg:
@@ -534,6 +564,10 @@ _FUZZ_NODES = (st.integers(2, 30), st.sampled_from([-1, 0, 1, 2**40, 2**63 - 1, 
 _FUZZ_STEPS = (st.integers(1, 40), st.sampled_from([-1, 0, 2**40, 2**63 - 1, 10**30]))
 
 
+def _refuse_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
 class TestCliFuzzed:
     """Random argv for all eight commands over small files and extreme
     arguments: `main` returns 0, 2, 3 or 4, and no exception escapes."""
@@ -613,5 +647,7 @@ class TestCliFuzzed:
         monkeypatch.setenv("PRIVZONE_THREADS", "1")  # experiment runs its seeds in this process
         argv = self.argv(data.draw, tmp_path)
         code = main(argv)
-        capsys.readouterr()
+        out = capsys.readouterr().out
         assert code in (0, 2, 3, 4), argv
+        if code == 0 and argv[0] in ("analyze", "optimize"):
+            json.loads(out, parse_constant=_refuse_constant)

@@ -453,6 +453,11 @@ class TestOtherFormats:
         payload = json.loads(format_json(solve_constrained(p4, 1, 0.5)))
         assert payload == {"h_star": 1, "privacy": 0.5, "cost": 3, "feasible": True}
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_json_refuses_non_finite(self, value):
+        with pytest.raises(ValueError):
+            format_json({"objective": value})
+
 
 class TestByteStability:
     def test_identical_bytes_across_runs(self, c6):

@@ -1,5 +1,7 @@
 import random
+import tracemalloc
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from oracles import (
     bfs_layers_by_queue,
     connected_atlas_graphs,
     random_connected_graph,
+    solve_asymmetric_by_loop,
     sweep_by_analyze,
     sweep_by_matrix,
 )
@@ -277,6 +280,47 @@ class TestSolveAsymmetricExhaustive:
             _, asym_obj = solve_asymmetric_exhaustive(g, s, gamma)
             sym = solve_tradeoff(g, s, gamma)
             assert asym_obj <= sym.objective
+
+    @staticmethod
+    def assert_matches_loop(g, s, gamma):
+        best, objective = solve_asymmetric_exhaustive(g, s, gamma)
+        ref_best, ref_objective = solve_asymmetric_by_loop(g, s, gamma)
+        assert type(objective) is float
+        assert (best, objective.hex()) == (ref_best, ref_objective.hex()), (g.edges, s, gamma)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gamma", [0.01, 1 / 6, 0.5, 1e308])
+    def test_matches_loop_on_atlas(self, gamma):
+        # 1/6 and 0.5 tie sets of different sizes and members; at 1e308 every
+        # set that touches two or more edges costs inf
+        for g in connected_atlas_graphs():
+            if g.node_count <= 6:
+                for s in range(g.node_count):
+                    self.assert_matches_loop(g, s, gamma)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [8, 10, 12, 14, 16])
+    def test_matches_loop_on_random_graphs(self, n):
+        rng = random.Random(1907 + n)
+        for extra_prob in (0.15, 0.4):
+            g = random_connected_graph(n, extra_prob, rng)
+            s = rng.randrange(n)
+            for gamma in (rng.uniform(1e-3, 1.0), 1 / 12, 1e308):
+                self.assert_matches_loop(g, s, gamma)
+
+    @pytest.mark.filterwarnings("error")
+    def test_cap_sized_memory(self):
+        ws = build_graph(list(nx.connected_watts_strogatz_graph(20, 4, 0.3, seed=20).edges()))
+        path = build_graph([(i, i + 1) for i in range(ASYMMETRIC_NODE_CAP - 1)])
+        tracemalloc.start()
+        try:
+            solve_asymmetric_exhaustive(ws, 0, 0.05)
+            # only {0} touches a single edge; every other set costs inf
+            assert solve_asymmetric_exhaustive(path, 0, 1e308) == ({0}, 1e308)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_node_cap_enforced(self):
         g = build_graph([(i, i + 1) for i in range(ASYMMETRIC_NODE_CAP)])
