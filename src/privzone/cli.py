@@ -8,6 +8,7 @@ simulate, experiment. Exit codes: 0 success, 2 I/O or parse problem,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import fileio
@@ -74,6 +75,8 @@ def _cmd_optimize(args) -> int:
     density = _load_density(args.density, g)
     if args.problem == 1:
         solution = solve_tradeoff(g, args.source, args.gamma, density)
+        if math.isinf(solution.objective):
+            raise ValueError(f"gamma * cost overflows float64 at every radius (gamma = {args.gamma!r})")
     else:
         solution = solve_constrained(g, args.source, args.xi, density)
     sys.stdout.write(fileio.format_json(solution))
@@ -176,23 +179,24 @@ def build_parser() -> argparse.ArgumentParser:
                        "subject to privacy <= xi")
     graph_arg(p)
     source_arg(p)
-    p.add_argument("--problem", type=int, choices=(1, 2), required=True)
+    p.add_argument("--problem", type=int, choices=(1, 2), required=True,
+                   help="1: trade-off with --gamma; 2: privacy cap --xi")
     p.add_argument("--gamma", type=float, help="cost weight (problem 1)")
     p.add_argument("--xi", type=float, help="privacy cap (problem 2)")
     density_arg(p)
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("gen-rgg", help="random geometric graph in the unit square")
-    p.add_argument("--nodes", type=int, required=True)
-    p.add_argument("--radius", type=float, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--nodes", type=int, required=True, help="number of points drawn")
+    p.add_argument("--radius", type=float, required=True, help="connection radius, in (0, sqrt(2)]")
+    p.add_argument("--seed", type=int, required=True, help="PRNG seed for the points")
     p.add_argument("--output", help="edge list destination (default stdout)")
     p.add_argument("--positions", help="also write `node x y` coordinates here")
     p.set_defaults(func=_cmd_gen_rgg)
 
     p = sub.add_parser("betweenness", help="betweenness per node, as CSV")
     graph_arg(p)
-    p.add_argument("--output")
+    p.add_argument("--output", help="CSV destination (default stdout)")
     p.set_defaults(func=_cmd_betweenness)
 
     p = sub.add_parser("line-graph", help="edge-to-vertex dual graph")
@@ -204,9 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="random walk with suppressed broadcasts")
     graph_arg(p)
     source_arg(p)
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--radius", type=int, required=True, help="suppression radius in hops")
+    p.add_argument("--steps", type=int, required=True, help="number of walk steps")
+    p.add_argument("--seed", type=int, required=True, help="PRNG seed for the walk")
     p.add_argument("--trace", help="trace CSV destination (default stdout)")
     p.add_argument("--posterior", help="also infer the observer posterior into this CSV")
     density_arg(p)
@@ -214,12 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="per-seed and averaged sweeps on random "
                        "geometric graphs")
-    p.add_argument("--nodes", type=int, required=True)
-    p.add_argument("--radius", type=float, required=True)
-    p.add_argument("--seeds", type=int, nargs="+", required=True)
+    p.add_argument("--nodes", type=int, required=True, help="points per random geometric graph")
+    p.add_argument("--radius", type=float, required=True, help="connection radius, in (0, sqrt(2)]")
+    p.add_argument("--seeds", type=int, nargs="+", required=True, help="one graph per seed")
     p.add_argument("--target", required=True,
                    help="max-betweenness, min-betweenness, or a node id")
-    p.add_argument("--outdir", required=True)
+    p.add_argument("--outdir", required=True, help="directory for the per-seed and averaged CSVs")
     density_arg(p)
     p.set_defaults(func=_cmd_experiment)
 

@@ -393,14 +393,14 @@ def induced_diameter(g: Graph, nodes) -> int:
 _BETWEENNESS_BLOCK = 128
 # A level of a block takes the dense tile product when its (node, source)
 # pairs fill at least this share of the tile of its nodes x the block's
-# sources, and the sparse product of the pairs otherwise. Calibrated with
-# tests/betweenness_shapes.py: 1/12 was the fastest or within noise of it on
-# every shape there, and below 1/16 the grid's levels get too thin for the
-# tile.
+# sources, and the sparse product of the pairs otherwise. Calibrated on
+# the graph shapes now in tests/stage_bench.py: 1/12 was the fastest or
+# within noise of it on each, and below 1/16 the grid's levels get too
+# thin for the tile.
 _TILE_FILL = 1 / 12
 # Bytes per (node, source) pair that a block may hold at its peak: the state
 # (20), the level history (at most 16) and one level's tiles and products.
-# tracemalloc measured 35 to 68 on the graphs of tests/betweenness_shapes.py.
+# tracemalloc measured 35 to 68 on the graph shapes of tests/stage_bench.py.
 _BETWEENNESS_PAIR_BYTES = 72
 # Largest n x n int32 level cache `betweenness` keeps (n up to 8192).
 _DIST_CACHE_BYTES = 256 * 2**20
@@ -492,11 +492,10 @@ def _first_simplicial(g: Graph) -> int | None:
     Each neighbour u of a simplicial v is adjacent to v and to v's other
     neighbours, so deg(u) >= deg(v): one `reduceat` over the neighbours'
     degrees leaves only the nodes that pass this. They are then tried in
-    ascending order. A node of degree <= 1 is simplicial at once; for any
-    other v, N[v] (v and its neighbours) is marked in an n-sized scratch,
-    and v is simplicial exactly when every neighbour's adjacency holds
-    deg(v) marked nodes, deg(v)**2 in all. A tried node costs the sum of
-    its neighbours' degrees; nothing is formed over the whole graph.
+    ascending order: N[v] (v and its neighbours) is marked in an n-sized
+    scratch, and v is simplicial exactly when every neighbour's adjacency
+    holds deg(v) marked nodes, deg(v)**2 in all. A tried node costs the sum
+    of its neighbours' degrees; nothing is formed over the whole graph.
     """
     adj = g.csr()
     indptr, indices = adj.indptr, adj.indices
@@ -507,8 +506,6 @@ def _first_simplicial(g: Graph) -> int | None:
     mark = np.zeros(g.node_count, dtype=bool)
     for v in np.flatnonzero(passes):
         v, d = int(v), int(deg[v])
-        if d <= 1:
-            return v
         nbrs = indices[indptr[v]:indptr[v + 1]]
         mark[nbrs] = mark[v] = True
         gathered, _ = _neighbours(adj, nbrs)
@@ -610,20 +607,15 @@ def _block_path_counts(sources: np.ndarray, adj: csr_matrix) -> tuple[np.ndarray
             rows, tile, count = np.flatnonzero(holds), None, at.size
     tile = None
     for d in range(len(levels) - 1, 0, -1):  # psi at level d - 1 from 1 + psi at level d
-        (rows, at), (targets, pairs) = levels[d], levels[d - 1]
+        (rows, at), (targets, _) = levels[d], levels[d - 1]
         if at is None:
             if tile is None:  # a level the sparse product reached
                 tile = np.where(level[rows] == d, 1.0 + psi[rows], 0.0)
             sums = _sub_adjacency(adj, targets, rows, pos) @ tile
-            if pairs is None:
-                here = level[targets] == d - 1
-                sums *= here
-                psi[targets] += sums
-                tile = sums + here
-            else:
-                pos[targets] = np.arange(targets.size)
-                psi_at[pairs] = sums[pos[pairs // b], pairs % b]
-                pos[targets] = -1
+            here = level[targets] == d - 1
+            sums *= here
+            psi[targets] += sums  # psi is still 0 on level d - 1, however it is kept
+            tile = sums + here  # a sparse level d - 1 drops it below
         else:
             flat, sums = _spread_pairs(adj, at, 1.0 + psi_at[at], b)
             here = level_at[flat] == d - 1

@@ -171,9 +171,11 @@ def solve_asymmetric_exhaustive(
     with np.errstate(over="ignore"):  # gamma * cost may round to inf, as it does in Python
         obj = 1.0 / size + gamma * cost
     best_obj = obj.min()
+    tied = obj == best_obj
+    tied &= size == size[tied].min()
 
     def members(mask: int) -> list[int]:
         return [v for v in range(n) if mask >> v & 1]
 
-    best = min(sets[obj == best_obj].tolist(), key=lambda m: (bin(m).count("1"), members(m)))
+    best = min(sets[tied].tolist(), key=members)
     return set(members(best)), float(best_obj)

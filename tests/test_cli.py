@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -7,12 +8,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import privzone
 from privzone import build_graph, gen_rgg
-from privzone.cli import main
+from privzone.cli import build_parser, main
 from privzone.fileio import format_edge_list, parse_edge_list
 
 from oracles import trace_csv_by_loop, walk_steps_by_loop
@@ -127,7 +128,7 @@ class TestOptimize:
         assert code == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err == "error: gamma * cost overflows float64 at every radius (gamma = 1e+308)\n"
 
     def test_mixed_flags_rejected(self, p4_file, capsys):
         code = main(
@@ -137,6 +138,10 @@ class TestOptimize:
         assert code == 2
         code = main(["optimize", "--graph", p4_file, "--source", "1", "--problem", "1"])
         assert code == 2
+
+
+_SUBCOMMANDS = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
 
 
 class TestHelp:
@@ -157,6 +162,18 @@ class TestHelp:
         text = " ".join(capsys.readouterr().out.split())
         for line in described:
             assert line in text
+
+    @pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
+    def test_every_option_described(self, capsys, command):
+        options = [a for a in _SUBCOMMANDS[command]._actions
+                   if a.option_strings and not isinstance(a, argparse._HelpAction)]
+        assert options
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for action in options:
+            assert action.help, action.option_strings
+            assert " ".join(action.help.split()) in text
 
 
 class TestGenRgg:
@@ -568,84 +585,90 @@ def _refuse_constant(name):
     raise AssertionError(f"{name} is not JSON")
 
 
+@st.composite
+def _fuzz_argv(draw):
+    """One argv for a random command. Its files are named relative to the
+    directory the test runs in, which holds `g{k}.txt` and `d{k}.txt` for
+    every fuzz text and no `missing` entry."""
+    def rarely() -> bool:
+        return draw(st.integers(0, 3)) == 0
+
+    def graph():
+        k = draw(st.integers(3, len(_FUZZ_GRAPHS) - 1) if rarely() else st.integers(0, 2))
+        if k == len(_FUZZ_GRAPHS) - 1 and draw(st.booleans()):
+            return ["--graph", "missing.txt"]
+        return ["--graph", f"g{k}.txt"]
+
+    def optional(flag, value):
+        return [f"{flag}={value}"] if draw(st.booleans()) else []
+
+    def density():
+        k = draw(st.integers(2, len(_FUZZ_DENSITIES) - 1) if rarely() else st.integers(0, 1))
+        return optional("--density", f"d{k}.txt")
+
+    def out(name):
+        return optional(f"--{name}", f"missing/{name}" if rarely() else name)
+
+    def value(values):
+        common, extreme = values
+        return draw(extreme if rarely() else common)
+
+    def num(flag, values):
+        return [f"{flag}={value(values)}"]
+
+    command = draw(st.sampled_from(["analyze", "sweep", "optimize", "gen-rgg", "betweenness",
+                                    "line-graph", "simulate", "experiment"]))
+    source = num("--source", _FUZZ_INTS)
+    if command == "analyze":
+        args = graph() + source + num("--radius", _FUZZ_INTS) + density()
+    elif command == "sweep":
+        args = graph() + source + density() + out("output")
+    elif command == "optimize":
+        problem = draw(st.sampled_from([1, 2]))
+        weight = ["--gamma", "--xi"][problem - 1]
+        if rarely():  # a stray or missing weight
+            weights = (optional("--gamma", value(_FUZZ_FLOATS))
+                       + optional("--xi", value(_FUZZ_FLOATS)))
+        else:
+            weights = num(weight, _FUZZ_FLOATS)
+        args = graph() + source + [f"--problem={problem}"] + weights + density()
+    elif command == "gen-rgg":
+        args = (num("--nodes", _FUZZ_NODES) + num("--radius", _FUZZ_FLOATS)
+                + num("--seed", _FUZZ_INTS) + out("output") + out("positions"))
+    elif command in ("betweenness", "line-graph"):
+        args = graph() + out("output") + (out("mapping") if command == "line-graph" else [])
+    elif command == "simulate":
+        args = (graph() + source + num("--radius", _FUZZ_INTS) + num("--steps", _FUZZ_STEPS)
+                + num("--seed", _FUZZ_INTS) + out("trace") + out("posterior") + density())
+    else:
+        rules = st.sampled_from(["max-betweenness", "min-betweenness"])
+        ids = st.one_of(st.just("median"), *(ints.map(str) for ints in _FUZZ_INTS))
+        target = draw(ids if rarely() else rules)
+        seeds = [value(_FUZZ_INTS) for _ in range(draw(st.integers(1, 3)))]
+        args = (num("--nodes", _FUZZ_NODES) + num("--radius", _FUZZ_FLOATS)
+                + ["--seeds", *map(str, seeds), f"--target={target}", "--outdir=exp"]
+                + density())
+    return [command, *args]
+
+
 class TestCliFuzzed:
     """Random argv for all eight commands over small files and extreme
     arguments: `main` returns 0, 2, 3 or 4, and no exception escapes."""
 
-    @staticmethod
-    def file(tmp_path, name, content):
-        path = tmp_path / name
-        if not path.exists():
-            path.write_bytes(content)
-        return str(path)
-
-    def argv(self, draw, tmp_path):
-        def rarely() -> bool:
-            return draw(st.integers(0, 3)) == 0
-
-        def graph():
-            k = draw(st.integers(3, len(_FUZZ_GRAPHS) - 1) if rarely() else st.integers(0, 2))
-            if k == len(_FUZZ_GRAPHS) - 1 and draw(st.booleans()):
-                return ["--graph", str(tmp_path / "missing.txt")]
-            return ["--graph", self.file(tmp_path, f"g{k}.txt", _FUZZ_GRAPHS[k])]
-
-        def optional(flag, value):
-            return [f"{flag}={value}"] if draw(st.booleans()) else []
-
-        def density():
-            k = draw(st.integers(2, len(_FUZZ_DENSITIES) - 1) if rarely() else st.integers(0, 1))
-            return optional("--density", self.file(tmp_path, f"d{k}.txt", _FUZZ_DENSITIES[k]))
-
-        def out(name):
-            return optional(f"--{name}", tmp_path / "missing" / name if rarely() else tmp_path / name)
-
-        def value(values):
-            common, extreme = values
-            return draw(extreme if rarely() else common)
-
-        def num(flag, values):
-            return [f"{flag}={value(values)}"]
-
-        command = draw(st.sampled_from(["analyze", "sweep", "optimize", "gen-rgg", "betweenness",
-                                        "line-graph", "simulate", "experiment"]))
-        source = num("--source", _FUZZ_INTS)
-        if command == "analyze":
-            args = graph() + source + num("--radius", _FUZZ_INTS) + density()
-        elif command == "sweep":
-            args = graph() + source + density() + out("output")
-        elif command == "optimize":
-            problem = draw(st.sampled_from([1, 2]))
-            weight = ["--gamma", "--xi"][problem - 1]
-            if rarely():  # a stray or missing weight
-                weights = (optional("--gamma", value(_FUZZ_FLOATS))
-                           + optional("--xi", value(_FUZZ_FLOATS)))
-            else:
-                weights = num(weight, _FUZZ_FLOATS)
-            args = graph() + source + [f"--problem={problem}"] + weights + density()
-        elif command == "gen-rgg":
-            args = (num("--nodes", _FUZZ_NODES) + num("--radius", _FUZZ_FLOATS)
-                    + num("--seed", _FUZZ_INTS) + out("output") + out("positions"))
-        elif command in ("betweenness", "line-graph"):
-            args = graph() + out("output") + (out("mapping") if command == "line-graph" else [])
-        elif command == "simulate":
-            args = (graph() + source + num("--radius", _FUZZ_INTS) + num("--steps", _FUZZ_STEPS)
-                    + num("--seed", _FUZZ_INTS) + out("trace") + out("posterior") + density())
-        else:
-            rules = st.sampled_from(["max-betweenness", "min-betweenness"])
-            ids = st.one_of(st.just("median"), *(ints.map(str) for ints in _FUZZ_INTS))
-            target = draw(ids if rarely() else rules)
-            seeds = [value(_FUZZ_INTS) for _ in range(draw(st.integers(1, 3)))]
-            args = (num("--nodes", _FUZZ_NODES) + num("--radius", _FUZZ_FLOATS)
-                    + ["--seeds", *map(str, seeds), f"--target={target}", f"--outdir={tmp_path / 'exp'}"]
-                    + density())
-        return [command, *args]
-
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(st.data())
-    def test_exit_code_in_contract(self, tmp_path, monkeypatch, capsys, data):
+    @given(argv=_fuzz_argv())
+    # On the path, source 1 pays for at least 2 edges at every radius, and
+    # 2 * 1e308 overflows: the objective must not reach stdout as `Infinity`.
+    @example(argv=["optimize", "--graph", "g1.txt", "--source=1", "--problem=1", "--gamma=1e308"])
+    def test_exit_code_in_contract(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.setenv("PRIVZONE_THREADS", "1")  # experiment runs its seeds in this process
-        argv = self.argv(data.draw, tmp_path)
+        monkeypatch.chdir(tmp_path)
+        for prefix, texts in (("g", _FUZZ_GRAPHS), ("d", _FUZZ_DENSITIES)):
+            for k, content in enumerate(texts):
+                path = tmp_path / f"{prefix}{k}.txt"
+                if not path.exists():
+                    path.write_bytes(content)
         code = main(argv)
         out = capsys.readouterr().out
         assert code in (0, 2, 3, 4), argv

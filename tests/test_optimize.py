@@ -322,6 +322,21 @@ class TestSolveAsymmetricExhaustive:
             tracemalloc.stop()
         assert peak < 64 * 2**20
 
+    @pytest.mark.filterwarnings("error")
+    def test_every_set_tied(self):
+        # every set of K20 costs at least 19 edges, so every objective is inf
+        # and all 2**19 sets tie; the smallest, {s}, wins, picked without a
+        # Python key per tied set
+        k20 = build_graph(list(nx.complete_graph(ASYMMETRIC_NODE_CAP).edges()))
+        tracemalloc.start()
+        try:
+            best, objective = solve_asymmetric_exhaustive(k20, 7, 1e308)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (best, objective) == ({7}, np.inf)
+        assert peak < 32 * 2**20, peak
+
     def test_node_cap_enforced(self):
         g = build_graph([(i, i + 1) for i in range(ASYMMETRIC_NODE_CAP)])
         with pytest.raises(GraphValidityError, match="solve_tradeoff"):
