@@ -10,23 +10,14 @@ operations on that record.
 enumeration: a node is a plausible private node exactly when some radius
 around it silences exactly the nodes the observer never heard from, the set
 U. A heard node lies inside every ball around itself, so only nodes of U
-qualify, and a ball is connected, so none does when G[U], the subgraph
-induced on U, is disconnected. For v in U only one radius can work: the
-ball of radius r = d(v, heard) - 1 is the largest that misses every heard
-node, and r is also the least distance inside G[U] from v to an exit, a
-node of U with a heard neighbour, so one whose degree in G[U] is below its
-degree in G. That ball is U exactly when v's eccentricity inside G[U] is at
-most r. So the enumeration builds G[U] with `graph._induced`, the function
-every induced subgraph in the library comes from, and reads its distance
-rows only, through `Graph.distance_rows`: O(|U| m_U) time, where m_U counts
-G[U]'s edges, and one block of 128 rows of |U| hops at a time.
-`policy.candidate_set` and `optimize.sweep` read the rows of the whole
-graph and keep v when max_{w in S} d(v, w) < min_{u not in S} d(v, u), the
-layers of the private node s giving S; here neither s nor its layers are
-known, and the rows and exits are those of G[U], so the two can be checked
-against each other. The tests hold the posterior equal, bit for
-bit, to `posterior_by_bfs` in `tests/oracles.py`, which tries every radius
-of every node over one breadth-first search per node.
+qualify, and `policy._ball_centres` finds them from the distance rows of
+G[U], the subgraph induced on U, alone. `policy.candidate_set` and
+`policy.analyze` call the same helper on the silenced ball S of a known
+policy, so every ball test in the library but the sweep's runs through it;
+`optimize.sweep` keeps its own layer kernel over the rows of the whole
+graph, and the tests hold the two equal. The tests also hold the posterior
+equal, bit for bit, to `posterior_by_bfs` in `tests/oracles.py`, which tries
+every radius of every node over one breadth-first search per node.
 """
 
 from __future__ import annotations
@@ -35,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import _ROW_BLOCK, Graph, _ensure_fits, _induced
+from .graph import Graph, _ensure_fits
 from .graph import bfs_layers  # noqa: F401  perfbench/tracing.py wraps observer.bfs_layers by name
-from .policy import DensityMap, _check_density
+from .policy import DensityMap, _ball_centres, _check_density
 
 __all__ = [
     "InfeasibleError",
@@ -166,7 +157,8 @@ def posterior_bruteforce(
     With U the unheard nodes, that holds iff v is in U, G[U] is connected,
     and v's eccentricity inside G[U] is at most its least distance inside
     G[U] to a node with a heard neighbour, the one radius whose ball can be
-    U. When nothing is heard, every node qualifies without a distance read.
+    U (`policy._ball_centres`). When nothing is heard, every node qualifies
+    without a distance read.
 
     Raises InfeasibleError when no node qualifies, i.e. the observation cannot
     have come from a symmetric suppression policy on this graph.
@@ -178,27 +170,12 @@ def posterior_bruteforce(
 
     heard = np.zeros(g.node_count, dtype=bool)
     heard[list(observed)] = True
-    unheard = np.flatnonzero(~heard)
-    plausible = np.zeros(len(unheard), dtype=bool)
-    if not observed:
-        # Every ball of radius ecc(v) is the whole graph: all plausible.
-        plausible[:] = True
-    elif len(unheard):
-        # G[U] on the positions in `unheard`, and its exits: the unheard
-        # nodes with a heard neighbour, so with fewer neighbours in G[U].
-        sub = _induced(g, unheard)
-        exits = np.flatnonzero(np.diff(sub.csr().indptr) < np.diff(g.csr().indptr)[unheard])
-        # A ball is connected, so a disconnected G[U] is no ball.
-        if sub.is_connected():
-            for lo in range(0, len(unheard), _ROW_BLOCK):
-                rows = sub.distance_rows(np.arange(lo, min(lo + _ROW_BLOCK, len(unheard))))
-                plausible[lo:lo + len(rows)] = rows.max(axis=1) <= rows[:, exits].min(axis=1)
-    if not plausible.any():
+    chosen = _ball_centres(g, np.flatnonzero(~heard))
+    if not len(chosen):
         raise InfeasibleError(
             "observed broadcast set is inconsistent with every symmetric policy"
         )
     weights = np.zeros(g.node_count, dtype=np.float64)
-    chosen = unheard[plausible]
     weights[chosen] = 1.0 if density is None else density.rho[chosen]
     total = float(weights.sum())
     if total <= 0.0:

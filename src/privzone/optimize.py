@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, GraphValidityError
+from .graph import _ROW_BLOCK, Graph, GraphValidityError
 from .graph import diameter  # noqa: F401  perfbench/tracing.py wraps optimize.diameter by name
-from .policy import DensityMap, _check_density, _layer_extrema, _privacy
+from .policy import DensityMap, _check_density, _privacy
 from .policy import analyze  # noqa: F401  perfbench/tracing.py wraps optimize.analyze by name
 
 __all__ = [
@@ -66,8 +66,8 @@ def sweep(g: Graph, s: int, density: DensityMap | None = None) -> list[SweepRow]
     Row h describes the policy that silences the ball S_h of radius h around
     s; it matches `analyze(g, s, h, density)` field for field, and its
     candidates follow the rule of `policy.candidate_set`.
-    `policy._layer_extrema` gives both sides of that rule, and the diameter,
-    for every node and radius at once from the distance rows of all n nodes,
+    `_layer_extrema` gives both sides of that rule, and the diameter, for
+    every node and radius at once from the distance rows of all n nodes,
     which `Graph.distance_rows` slices from a cached matrix (as
     `betweenness` leaves one) or computes a block at a time, so the sweep
     keeps nothing n x n. The suppressed and cost counts are cumulative
@@ -80,7 +80,7 @@ def sweep(g: Graph, s: int, density: DensityMap | None = None) -> list[SweepRow]
     n = g.node_count
     from_s = g.distance_rows([s])[0]
     ecc = int(from_s.max())
-    far, near = _layer_extrema(g, from_s, np.arange(n))
+    far, near = _layer_extrema(g, from_s)
     top = int(far[:, -1].max())
 
     suppressed = np.cumsum(np.bincount(from_s, minlength=top + 1))
@@ -99,6 +99,30 @@ def sweep(g: Graph, s: int, density: DensityMap | None = None) -> list[SweepRow]
             )
         )
     return rows
+
+
+def _layer_extrema(g: Graph, from_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sweep's kernel: both sides of the candidate rule at every radius,
+    for every node.
+
+    `from_s` is the distance row of s. Returns int32 arrays of shape
+    (n, ecc(s) + 1): far[v, d] is the largest d(v, w) over the w with
+    from_s[w] <= d, near[v, d] the smallest over layer d, the w with
+    from_s[w] == d. At h < ecc(s), v is a candidate exactly when
+    far[v, h] < near[v, h + 1]. Every path out of the ball of radius h
+    crosses layer h + 1, so for a node in the ball that layer holds its
+    nearest broadcasting node; a node v beyond h fails, being closer to
+    layer h + 1 than to s. Each block of 128 rows is grouped by the layers
+    of s, and far[:, -1] holds every node's eccentricity.
+    """
+    order = np.argsort(from_s)
+    starts = np.flatnonzero(np.diff(from_s[order], prepend=-1))  # layers 0..ecc(s), none empty
+    far, near = [], []
+    for lo in range(0, g.node_count, _ROW_BLOCK):
+        rows = g.distance_rows(np.arange(lo, min(lo + _ROW_BLOCK, g.node_count)))[:, order]
+        far.append(np.maximum.accumulate(np.maximum.reduceat(rows, starts, axis=1), axis=1))
+        near.append(np.minimum.reduceat(rows, starts, axis=1))
+    return np.concatenate(far), np.concatenate(near)
 
 
 def solve_tradeoff(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import _ROW_BLOCK, Graph
+from .graph import _ROW_BLOCK, Graph, _induced
 from .graph import induced_diameter  # noqa: F401  perfbench/tracing.py wraps policy.induced_diameter by name
 
 __all__ = [
@@ -138,42 +138,39 @@ def candidate_set(g: Graph, s: int, h: int) -> set[int]:
     set S, that is iff the farthest silenced node is strictly closer to v
     than the nearest broadcasting one:
     max_{w in S} d(v, w) < min_{u not in S} d(v, u). Only a silenced node can
-    qualify, so this reads the distance rows of S only, O(|S| n) memory.
+    qualify, and `_ball_centres` decides each from the distance rows of
+    G[S], the subgraph induced on S: O(|S| m_S) time, where m_S counts
+    G[S]'s edges, and one block of 128 rows of |S| hop counts at a time.
     When the policy silences the whole graph there is no observation, and
     every node remains a candidate.
     """
-    return set(_candidates(g, _distances_from(g, s, h), h).tolist())
+    return set(_ball_centres(g, np.flatnonzero(_distances_from(g, s, h) <= h)).tolist())
 
 
-def _candidates(g: Graph, from_s: np.ndarray, h: int) -> np.ndarray:
-    """`candidate_set` as ascending ids, from the distance row of s."""
-    if h >= from_s.max():
-        return np.arange(g.node_count)
-    sel = np.flatnonzero(from_s <= h)
-    far, near = _layer_extrema(g, from_s, sel)
-    return sel[far[:, h] < near[:, h + 1]]
+def _ball_centres(g: Graph, inside: np.ndarray) -> np.ndarray:
+    """The nodes v of U, the ascending int64 ids `inside`, around which some
+    ball is exactly U, ascending.
 
-
-def _layer_extrema(g: Graph, from_s: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of the candidate rule at every radius, for each of `nodes`.
-
-    `from_s` is the distance row of s. Returns int32 arrays of shape
-    (len(nodes), ecc(s) + 1): far[k, d] is the largest d(nodes[k], w) over
-    the w with from_s[w] <= d, near[k, d] the smallest over layer d, the w
-    with from_s[w] == d. At h < ecc(s), nodes[k] is a candidate exactly
-    when far[k, h] < near[k, h + 1]. Every path out of the ball of radius h
-    crosses layer h + 1, so for a node in the ball that layer holds its
-    nearest broadcasting node; a node v beyond h fails, being closer to
-    layer h + 1 than to s. Each block of rows is grouped by the layers of s.
+    Every node qualifies when U is the whole graph, and none when U is
+    empty or G[U], the subgraph induced on U, is disconnected, since a ball
+    is connected. Otherwise only one radius can work for v in U: the ball
+    of radius r = d(v, V - U) - 1 is the largest that misses V - U, and r is
+    also v's least distance inside G[U] to an exit, a node of U with fewer
+    neighbours in G[U] than in G. That ball is U exactly when v's
+    eccentricity inside G[U] is at most r, which in G's own distances is
+    max_{w in U} d(v, w) < min_{u not in U} d(v, u). So only G[U]'s rows are
+    read, through `Graph.distance_rows`, a block at a time.
     """
-    order = np.argsort(from_s)
-    starts = np.flatnonzero(np.diff(from_s[order], prepend=-1))  # layers 0..ecc(s), none empty
-    far, near = [], []
-    for lo in range(0, len(nodes), _ROW_BLOCK):
-        rows = g.distance_rows(nodes[lo:lo + _ROW_BLOCK])[:, order]
-        far.append(np.maximum.accumulate(np.maximum.reduceat(rows, starts, axis=1), axis=1))
-        near.append(np.minimum.reduceat(rows, starts, axis=1))
-    return np.concatenate(far), np.concatenate(near)
+    if len(inside) in (0, g.node_count):
+        return inside
+    sub = _induced(g, inside)
+    keep = np.zeros(len(inside), dtype=bool)
+    if sub.is_connected():
+        exits = np.flatnonzero(np.diff(sub.csr().indptr) < np.diff(g.csr().indptr)[inside])
+        for lo in range(0, len(inside), _ROW_BLOCK):
+            rows = sub.distance_rows(np.arange(lo, min(lo + _ROW_BLOCK, len(inside))))
+            keep[lo:lo + len(rows)] = rows.max(axis=1) <= rows[:, exits].min(axis=1)
+    return inside[keep]
 
 
 def privacy_uniform(candidates) -> float:
@@ -227,11 +224,12 @@ def analyze(g: Graph, s: int, h: int, density: DensityMap | None = None) -> Poli
     _check_density(g, density)
     ends = g.edge_array
     edges_off = ends[from_s[ends].min(axis=1) <= h]
-    candidates = _candidates(g, from_s, h)
+    ball = np.flatnonzero(from_s <= h)
+    candidates = _ball_centres(g, ball)
     return PolicyAnalysis(
         private_node=s,
         radius=h,
-        suppressed_nodes=frozenset(np.flatnonzero(from_s <= h).tolist()),
+        suppressed_nodes=frozenset(ball.tolist()),
         broadcast_nodes=frozenset(np.flatnonzero(from_s > h).tolist()),
         boundary=frozenset(np.flatnonzero(from_s == h + 1).tolist()),
         candidates=frozenset(candidates.tolist()),

@@ -7,10 +7,12 @@ Run from the repo root:
     python tests/stage_bench.py --smoke               # each stage once, on small inputs
     python tests/stage_bench.py --against ../old --stage betweenness --input grid-32x32
 
-A cell is one stage on one input. Each call gets a fresh `Graph` over the
-same edges, with its CSR built before the clock starts, so no call reads a
-distance matrix, adjacency tuples or a level cache an earlier one left; only
-`sweep-cached` reuses one graph, whose distance matrix is cached on purpose.
+A cell is one stage on one input. The `analyze` stages (s = 0 at h = 1, 2
+and 5) run on every graph and on `rgg-20000`, which nothing else runs on.
+Each call gets a fresh `Graph` over the same edges, with its CSR built
+before the clock starts, so no call reads a distance matrix, adjacency
+tuples or a level cache an earlier one left; only `sweep-cached` reuses one
+graph, whose distance matrix is cached on purpose.
 A cell records the median, smallest and largest of `--repeats` timed calls
 and the tracemalloc peak of one more call, made before them.
 
@@ -67,7 +69,7 @@ class Input:
     name: str
     n: int
     edges: np.ndarray
-    kind: str  # "graph", "walk" or "solver"
+    kind: str  # "graph", "large" (the analyze stages only), "walk" or "solver"
     rgg: tuple | None = None  # (n, radius, seed) of a `gen_rgg` graph
     extra: dict = field(default_factory=dict)
 
@@ -84,9 +86,9 @@ def _from_nx(name: str, h: nx.Graph, kind: str = "graph", **extra) -> Input:
     return Input(name, h.number_of_nodes(), edges, kind, extra=extra)
 
 
-def _rgg(pz, name: str, n: int, radius: float, seed: int) -> Input:
+def _rgg(pz, name: str, n: int, radius: float, seed: int, kind: str = "graph") -> Input:
     g = pz.gen_rgg(n, radius, seed).graph
-    return Input(name, g.node_count, g.edge_array, "graph", rgg=(n, radius, seed))
+    return Input(name, g.node_count, g.edge_array, kind, rgg=(n, radius, seed))
 
 
 def _walk_problems(pz, n: int, radius: float, steps: int) -> list[Input]:
@@ -122,6 +124,8 @@ def inputs(pz, smoke: bool) -> list[Input]:
         _rgg(pz, "rgg-1000-306533120", 1000, 0.1, 306533120),
         _rgg(pz, "rgg-1000-48549481", 1000, 0.1, 48549481),
         _rgg(pz, "rgg-3000", 3000, 0.1, 424242),
+        # Its betweenness and all of its distance rows would take minutes.
+        _rgg(pz, "rgg-20000", 20000, 0.02, 424242, "large"),
         _from_nx("grid-32x32", nx.grid_2d_graph(32, 32)),
         _from_nx("path-1000", nx.path_graph(1000)),
         _from_nx("lollipop-200-800", nx.lollipop_graph(200, 800)),
@@ -163,6 +167,10 @@ def _sweep_cached(pz, inp):
     return lambda: lambda: pz.sweep(g, 0)
 
 
+def _analyze(h):
+    return _on_fresh(lambda pz, g, inp: pz.analyze(g, 0, h))
+
+
 def _walk(pz, g, inp):
     x = inp.extra
     return pz.simulate_walk(g, x["source"], x["h"], x["steps"], x["seed"])
@@ -176,7 +184,7 @@ def _posterior(pz, inp):
 # stage name -> (the stage, which inputs it runs on)
 STAGES = {
     "parse": (_parse, lambda i: i.kind == "graph"),
-    "gen_rgg": (_gen_rgg, lambda i: i.rgg is not None),
+    "gen_rgg": (_gen_rgg, lambda i: i.kind == "graph" and i.rgg is not None),
     "connectivity": (_on_fresh(lambda pz, g, inp: g.is_connected()), lambda i: i.kind == "graph"),
     "rows-128": (_on_fresh(lambda pz, g, inp: g.distance_rows(np.arange(min(128, inp.n)))),
                  lambda i: i.kind == "graph"),
@@ -185,6 +193,7 @@ STAGES = {
     "betweenness": (_on_fresh(lambda pz, g, inp: pz.betweenness(g)), lambda i: i.kind == "graph"),
     "sweep-cached": (_sweep_cached, lambda i: i.kind == "graph"),
     "sweep-fresh": (_on_fresh(lambda pz, g, inp: pz.sweep(g, 0)), lambda i: i.kind == "graph"),
+    **{f"analyze-h{h}": (_analyze(h), lambda i: i.kind in ("graph", "large")) for h in (1, 2, 5)},
     "min-pick": (_on_fresh(lambda pz, g, inp: pz.experiment._betweenness_target(g, "min-betweenness")),
                  lambda i: i.kind == "graph"),
     # The dual of the n=3000 RGG has about 13 million edges, near 1 GB.

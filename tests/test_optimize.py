@@ -20,6 +20,7 @@ from privzone import (
     solve_tradeoff,
     sweep,
 )
+from privzone.experiment import _betweenness_target
 
 from oracles import (
     bfs_layers_by_queue,
@@ -75,8 +76,9 @@ class TestSweep:
 
 
 class TestSweepMatchesAnalyze:
-    """The layer-extrema sweep against one full `analyze` per radius: exact
-    SweepRow equality, with the uniform prior and with a random density."""
+    """The layer-extrema sweep against one full `analyze` per radius, whose
+    candidates come from the G[S] ball test: exact SweepRow equality, with
+    the uniform prior and with a random density."""
 
     @staticmethod
     def _check(g, sources, rng):
@@ -102,6 +104,15 @@ class TestSweepMatchesAnalyze:
         g = gen_rgg(300, 0.12, seed).graph
         rng = random.Random(seed)
         self._check(g, rng.sample(range(g.node_count), 5), np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("seed, target", [(306533120, 443), (48549481, 402)])
+    def test_benchmark_experiment_graphs(self, seed, target):
+        # the two RGGs of `rgg-experiment` at its seed 424242, from their
+        # min-betweenness targets: the sweep's layer kernel against the
+        # G[S] ball test of `analyze` on the benchmark's own graphs
+        g = gen_rgg(1000, 0.1, seed).graph
+        assert _betweenness_target(g, "min-betweenness") == target
+        self._check(g, [target], np.random.default_rng(seed))
 
     def test_single_node(self):
         g = Graph(1, ())

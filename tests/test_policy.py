@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,8 +115,9 @@ class TestCandidateSet:
 class TestCandidateSetMatchesOracles:
     """`candidate_set` keeps v when max_{w in S} d(v, w) < min_{u not in S}
     d(v, u); the layer-matching rule it replaced and the brute-force
-    posterior judge it. `sweep` and `analyze` apply the same rule through
-    the same code, so the layer rule judges the sweep's candidate counts too."""
+    posterior judge it. `analyze` and the posterior decide it through the
+    same G[S] ball test and `sweep` through its own layer kernel, so the
+    layer rule judges the sweep's candidate counts too."""
 
     def test_layer_rule_on_every_atlas_instance(self):
         instances = 0
@@ -150,6 +152,12 @@ class TestCandidateSetMatchesOracles:
                     proper += 1 < len(cands) < g.node_count
         assert proper >= 100  # not only the pinned and the all-silent cases
 
+    def test_layer_rule_on_criterion_9_graph(self):
+        g = gen_rgg(1000, 0.1, 424242).graph
+        ecc = int(g.distance_rows([0])[0].max())
+        for h in range(ecc + 2):
+            assert candidate_set(g, 0, h) == candidate_set_by_layers(g, 0, h), h
+
     def test_bruteforce_posterior_on_n300_rggs(self):
         rng = random.Random(97)
         for seed in (1, 2, 3):
@@ -160,6 +168,22 @@ class TestCandidateSetMatchesOracles:
                 h = rng.randint(0, int(ecc[s]))
                 posterior = posterior_bruteforce(g, broadcast_set(g, s, h))
                 assert candidate_set(g, s, h) == posterior.support, (seed, s, h)
+
+
+class TestCandidateSetMemory:
+    def test_reads_rows_of_the_ball_only(self):
+        # A radius-5 ball of 447 nodes in an RGG of 20,000: one pass over
+        # the edge ends to build G[S], then the rows of G[S] (blocks of
+        # 128 whole-graph rows peaked at 45 MB here).
+        g = gen_rgg(20000, 0.02, 424242).graph
+        g.csr()
+        tracemalloc.start()
+        try:
+            assert candidate_set(g, 0, 5) == {0}
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 << 20
 
 
 class TestPrivacyUniform:
