@@ -48,10 +48,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("experiment needs n >= 2")
-        if self.radius <= 0:
-            raise ValueError("experiment needs radius > 0")
+        if not 0 < self.radius <= np.sqrt(2.0):
+            raise ValueError(f"experiment needs 0 < radius <= sqrt(2), got {self.radius}")
         if not self.seeds:
             raise ValueError("experiment needs at least one seed")
+        negative = [seed for seed in self.seeds if seed < 0]
+        if negative:
+            raise ValueError(f"experiment needs seeds >= 0, got {negative[0]}")
         if isinstance(self.target, str) and self.target not in (
             "max-betweenness",
             "min-betweenness",

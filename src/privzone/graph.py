@@ -6,7 +6,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 __all__ = [
@@ -436,9 +436,10 @@ def betweenness(g: Graph) -> np.ndarray:
     of two products. When its pairs fill at least 1/12 of the tile (its
     nodes x the block's sources), the dense tile is multiplied by the
     adjacency between those nodes and their neighbours, with no symbolic
-    pass; otherwise the pairs are multiplied as a sparse matrix, which wins
-    on thin levels such as a path's. The choice reads only how full the
-    level is.
+    pass; one builder, `_sub_adjacency`, makes that adjacency for both
+    passes. Otherwise the pairs are multiplied as a sparse matrix, which
+    wins on thin levels such as a path's. The choice reads only how full
+    the level is.
 
     The levels are the hop counts, so the search finds the distance matrix
     as it goes: when the graph has none cached and n x n int32 fits in
@@ -554,14 +555,17 @@ def _block_path_counts(sources: np.ndarray, adj: csr_matrix) -> tuple[np.ndarray
     of its nodes x the block's sources, the pairs are kept too, as flat
     indices node * block + source grouped by source, and are spread by the
     sparse product. A fuller level is spread as the dense tile, which the
-    step that made it hands on.
+    step that made it hands on. Both passes take a tile's adjacency from
+    `_sub_adjacency`: the forward step the transpose of the level's nodes
+    against all their neighbours, the backward step level d - 1's nodes
+    against level d's.
     """
     n, b = adj.shape[0], len(sources)
     level = np.full((n, b), -1, dtype=np.int32)
     sigma = np.zeros((n, b), dtype=np.float64)
     psi = np.zeros((n, b), dtype=np.float64)
     level_at, sigma_at, psi_at = level.reshape(-1), sigma.reshape(-1), psi.reshape(-1)
-    pos = np.full(n, -1, dtype=np.int64)  # scratch: a node's place in a node array, else -1
+    pos = np.full(n, -1, dtype=adj.indices.dtype)  # scratch: a node's place in a node array, else -1
     at = sources * b + np.arange(b)
     level_at[at] = 0
     sigma_at[at] = 1.0
@@ -582,11 +586,7 @@ def _block_path_counts(sources: np.ndarray, adj: csr_matrix) -> tuple[np.ndarray
         if tiled:
             nbrs, indptr = _neighbours(adj, rows)
             cand = _distinct(np.sort(nbrs))  # every neighbour of the level's nodes
-            pos[cand] = np.arange(cand.size)
-            # adj[cand][:, rows], the transpose of adj[rows][:, cand]
-            spread = csc_matrix((np.ones(nbrs.size), pos[nbrs], indptr), shape=(cand.size, rows.size))
-            pos[cand] = -1
-            sums = spread @ tile
+            sums = _sub_adjacency(nbrs, indptr, cand, pos).T @ tile  # adj[cand][:, rows]
             old = level[cand]
             fresh = (old < 0) & (sums > 0)
             hit = fresh.any(axis=1)
@@ -611,7 +611,7 @@ def _block_path_counts(sources: np.ndarray, adj: csr_matrix) -> tuple[np.ndarray
         if at is None:
             if tile is None:  # a level the sparse product reached
                 tile = np.where(level[rows] == d, 1.0 + psi[rows], 0.0)
-            sums = _sub_adjacency(adj, targets, rows, pos) @ tile
+            sums = _sub_adjacency(*_neighbours(adj, targets), rows, pos) @ tile
             here = level[targets] == d - 1
             sums *= here
             psi[targets] += sums  # psi is still 0 on level d - 1, however it is kept
@@ -635,16 +635,19 @@ def _spread_pairs(adj: csr_matrix, at: np.ndarray, values: np.ndarray, b: int):
     return reached.indices * b + np.repeat(np.arange(b), np.diff(reached.indptr)), reached.data
 
 
-def _sub_adjacency(adj: csr_matrix, rows: np.ndarray, cols: np.ndarray, pos: np.ndarray) -> csr_matrix:
-    """adj[rows][:, cols] for ascending node arrays. `pos` is n-sized
-    scratch, all -1, and is left so."""
+def _sub_adjacency(nbrs: np.ndarray, indptr: np.ndarray, cols: np.ndarray, pos: np.ndarray) -> csr_matrix:
+    """adj[rows][:, cols] for ascending node arrays, from the `nbrs` and
+    `indptr` that `_neighbours(adj, rows)` gathered: the one builder of the
+    level adjacency that both passes of `_block_path_counts` multiply a tile
+    by. `pos` is n-sized scratch, all -1, and is left so. `pos` and the row
+    offsets have adj's index dtype, which holds every position and count
+    here, so scipy takes the index arrays without scanning them."""
     pos[cols] = np.arange(cols.size)
-    nbrs, indptr = _neighbours(adj, rows)
-    at = pos[nbrs]
+    at = pos.take(nbrs)
     pos[cols] = -1
-    inside = at >= 0
-    kept = np.concatenate(([0], np.cumsum(inside)))
-    return csr_matrix((np.ones(kept[-1]), at[inside], kept[indptr]), shape=(rows.size, cols.size))
+    kept = np.flatnonzero(at >= 0)
+    offsets = np.searchsorted(kept, indptr).astype(nbrs.dtype)
+    return csr_matrix((np.ones(kept.size), at.take(kept), offsets), shape=(indptr.size - 1, cols.size))
 
 
 def _neighbours(adj: csr_matrix, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

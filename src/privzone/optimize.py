@@ -9,7 +9,7 @@ import numpy as np
 
 from .graph import _ROW_BLOCK, Graph, GraphValidityError
 from .graph import diameter  # noqa: F401  perfbench/tracing.py wraps optimize.diameter by name
-from .policy import DensityMap, _check_density, _privacy
+from .policy import DensityMap, _check_density, _edge_hops, _privacy
 from .policy import analyze  # noqa: F401  perfbench/tracing.py wraps optimize.analyze by name
 
 __all__ = [
@@ -71,7 +71,8 @@ def sweep(g: Graph, s: int, density: DensityMap | None = None) -> list[SweepRow]
     which `Graph.distance_rows` slices from a cached matrix (as
     `betweenness` leaves one) or computes a block at a time, so the sweep
     keeps nothing n x n. The suppressed and cost counts are cumulative
-    bincounts of dist[s] and of each edge's nearer endpoint. Past the rows,
+    bincounts of dist[s] and of each edge's nearer-endpoint hop count
+    (`policy._edge_hops`, as `analyze` takes it). Past the rows,
     the sweep is O(n^2).
     """
     g.ensure_connected()
@@ -84,7 +85,7 @@ def sweep(g: Graph, s: int, density: DensityMap | None = None) -> list[SweepRow]
     top = int(far[:, -1].max())
 
     suppressed = np.cumsum(np.bincount(from_s, minlength=top + 1))
-    cost = np.cumsum(np.bincount(from_s[g.edge_array].min(axis=1), minlength=top + 1))
+    cost = np.cumsum(np.bincount(_edge_hops(g, from_s), minlength=top + 1))
 
     rows = []
     for h in range(top + 1):

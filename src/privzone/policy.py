@@ -102,6 +102,13 @@ def _distances_from(g: Graph, s: int, h: int) -> np.ndarray:
     return g.distance_rows([s])[0]
 
 
+def _edge_hops(g: Graph, from_s: np.ndarray) -> np.ndarray:
+    """Each edge's hop count from s, that of its nearer endpoint, in the
+    order of `g.edge_array`; `from_s` is the distance row of s."""
+    ends = g.edge_array
+    return np.minimum(from_s[ends[:, 0]], from_s[ends[:, 1]])
+
+
 def _check_density(g: Graph, density: DensityMap | None) -> None:
     if density is not None and len(density) != g.node_count:
         raise ValueError("density map size does not match the node count")
@@ -124,10 +131,9 @@ def boundary_set(g: Graph, s: int, h: int) -> set[int]:
 
 
 def excluded_edges(g: Graph, s: int, h: int) -> set[tuple[int, int]]:
-    """Edges with at least one endpoint within h hops of s (no reports there)."""
-    ends = g.edge_array
-    near = _distances_from(g, s, h)[ends].min(axis=1) <= h
-    return set(map(tuple, ends[near].tolist()))
+    """Edges with at least one endpoint within h hops of s (no reports
+    there): those whose nearer endpoint, by `_edge_hops`, is within h."""
+    return set(map(tuple, g.edge_array[_edge_hops(g, _distances_from(g, s, h)) <= h].tolist()))
 
 
 def candidate_set(g: Graph, s: int, h: int) -> set[int]:
@@ -222,8 +228,7 @@ def analyze(g: Graph, s: int, h: int, density: DensityMap | None = None) -> Poli
     g.ensure_connected()
     from_s = _distances_from(g, s, h)
     _check_density(g, density)
-    ends = g.edge_array
-    edges_off = ends[from_s[ends].min(axis=1) <= h]
+    edges_off = g.edge_array[_edge_hops(g, from_s) <= h]
     ball = np.flatnonzero(from_s <= h)
     candidates = _ball_centres(g, ball)
     return PolicyAnalysis(

@@ -12,7 +12,9 @@ and 5) run on every graph and on `rgg-20000`, which nothing else runs on.
 Each call gets a fresh `Graph` over the same edges, with its CSR built
 before the clock starts, so no call reads a distance matrix, adjacency
 tuples or a level cache an earlier one left; only `sweep-cached` reuses one
-graph, whose distance matrix is cached on purpose.
+graph, whose distance matrix is cached on purpose. `experiment-max` and
+`experiment-min` time one whole seed of `experiment` on each RGG with
+n <= 1000, the benchmark's two graphs among them.
 A cell records the median, smallest and largest of `--repeats` timed calls
 and the tracemalloc peak of one more call, made before them.
 
@@ -171,6 +173,17 @@ def _analyze(h):
     return _on_fresh(lambda pz, g, inp: pz.analyze(g, 0, h))
 
 
+def _experiment(target):
+    """One seed of `experiment` on the input's RGG parameters, as the
+    `rgg-experiment` benchmark runs it: `gen_rgg`, the target pick and a
+    sweep on the fresh graph."""
+    def stage(pz, inp):
+        n, radius, seed = inp.rgg
+        config = pz.experiment.ExperimentConfig(n, radius, (seed,), target)
+        return lambda: lambda: pz.experiment._run_seed(config, seed)
+    return stage
+
+
 def _walk(pz, g, inp):
     x = inp.extra
     return pz.simulate_walk(g, x["source"], x["h"], x["steps"], x["seed"])
@@ -196,6 +209,9 @@ STAGES = {
     **{f"analyze-h{h}": (_analyze(h), lambda i: i.kind in ("graph", "large")) for h in (1, 2, 5)},
     "min-pick": (_on_fresh(lambda pz, g, inp: pz.experiment._betweenness_target(g, "min-betweenness")),
                  lambda i: i.kind == "graph"),
+    **{f"experiment-{side}": (_experiment(f"{side}-betweenness"),
+                              lambda i: i.kind == "graph" and i.rgg is not None and i.rgg[0] <= 1000)
+       for side in ("max", "min")},
     # The dual of the n=3000 RGG has about 13 million edges, near 1 GB.
     "line_graph": (_on_fresh(lambda pz, g, inp: pz.line_graph(g)),
                    lambda i: i.kind == "graph" and i.n <= 1000),

@@ -523,6 +523,16 @@ class TestExperiment:
             )
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("bad, message", [
+        (["--radius", "2", "--seeds", "1"], "error: experiment needs 0 < radius <= sqrt(2), got 2.0\n"),
+        (["--radius", "0.5", "--seeds", "1", "-5"], "error: experiment needs seeds >= 0, got -5\n"),
+    ])
+    def test_bad_radius_or_seed_exit_2_before_outdir(self, tmp_path, capsys, bad, message):
+        code = main(["experiment", "--nodes", "10", *bad, "--target", "0", "--outdir", str(tmp_path / "x")])
+        assert code == 2
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "x").exists()
+
 
 class TestWriteFailures:
     """A destination that cannot be written ends with exit 2 and one error
